@@ -41,8 +41,8 @@ budget). A batch row per duration records the linear-growth
 counterpoint the streaming path exists to avoid.
 
 The ``fleet_scaling`` section times per-terminal slot compute for
-the vectorized :class:`~repro.leo.fleet.FleetScheduler` against T
-independent scalar schedulers at fleet sizes 1/4/16/64, compares
+one T-terminal :class:`~repro.leo.fleet.FleetScheduler` against T
+independent single-terminal schedulers at fleet sizes 1/4/16/64, compares
 every snapshot pair for exact equality, and gates on the vectorized
 path being at least 5x faster per terminal-slot at the largest size
 — with zero mismatches, so the speedup is only ever reported over
@@ -84,7 +84,7 @@ from repro.leo.fleet import (
     fleet_seeds,
 )
 from repro.leo.ground import STARLINK_GATEWAYS
-from repro.leo.scheduling import SLOT_DURATION, SatelliteScheduler
+from repro.leo.scheduling import SLOT_DURATION
 from repro.testing.digest import digest_dataset
 from repro.transport.cc import CC_KINDS
 from repro.transport.tcp import TcpConfig
@@ -496,29 +496,30 @@ def longitudinal() -> dict:
     }
 
 
-#: Fleet-scaling axes: the vectorized FleetScheduler against T
-#: independent scalar schedulers, per terminal count.
+#: Fleet-scaling axes: one T-terminal FleetScheduler against T
+#: independent single-terminal schedulers, per terminal count.
 FLEET_SIZES = (1, 4, 16, 64)
 FLEET_GATE_SPEEDUP = 5.0
 
 
 def fleet_scaling_cell(terminals: int, n_slots: int) -> dict:
-    """Scalar-vs-fleet slot compute for one fleet size.
+    """Per-terminal vs batched slot compute for one fleet size.
 
-    The scalar baseline is T fully independent schedulers, each with
-    its own constellation — exactly what a naive fleet campaign would
-    instantiate. Every snapshot pair is compared for exact dataclass
-    equality, so the speedup is only reported over verified
-    bit-identical output.
+    The baseline is T fully independent single-terminal schedulers,
+    each with its own constellation — exactly what a naive fleet
+    campaign would instantiate. Every snapshot pair is compared for
+    exact dataclass equality, so the speedup is only reported over
+    verified bit-identical output.
     """
     spec = FleetSpec(terminals=terminals, seed=0)
     uts = build_fleet_terminals(spec)
     seeds = fleet_seeds(0, terminals)
-    scalars = [SatelliteScheduler(Constellation(), uts[i],
-                                  STARLINK_GATEWAYS, seed=seeds[i])
+    singles = [FleetScheduler(Constellation(), [uts[i]],
+                              STARLINK_GATEWAYS, seeds=[seeds[i]])
                for i in range(terminals)]
     began = time.perf_counter()
-    expected = [[s.snapshot(slot * SLOT_DURATION) for s in scalars]
+    expected = [[s.snapshot_at(0, slot * SLOT_DURATION)
+                 for s in singles]
                 for slot in range(n_slots)]
     scalar_s = time.perf_counter() - began
 

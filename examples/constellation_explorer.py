@@ -39,7 +39,7 @@ def main() -> None:
           "(15 s reallocation slots):")
     last_sat = None
     for t in np.arange(0.0, 600.0, 15.0):
-        snap = model.scheduler.snapshot(float(t))
+        snap = model.snapshot(float(t))
         marker = " <- handover" if (last_sat is not None
                                     and snap.sat_index != last_sat) else ""
         if t % 60 == 0 or marker:

@@ -6,11 +6,11 @@ Two gates protect the vectorized fleet layer:
 1. **T=1 bit-identity, digest-pinned.** A single-terminal
    :class:`FleetScheduler` walked over 400 slots (with a satellite
    outage and a gateway outage in the middle) must produce exactly
-   the snapshot sequence of a scalar ``SatelliteScheduler`` with the
-   same seed — and both must match the digest pinned below. The pin
-   catches silent drift in *either* path: the vectorized kernels and
-   the scalar reference cannot move, even together, without a
-   deliberate re-record.
+   the snapshot sequence of the scalar reference oracle
+   (``tests/leo/oracle.py``) with the same seed — and both must match
+   the digest pinned below. The pin catches silent drift in *either*
+   path: the scheduler and the oracle cannot move, even together,
+   without a deliberate re-record.
 
 2. **T=16 fleet campaign determinism.** A 16-terminal fleet campaign
    run twice serially must be digest-identical, and a sharded run
@@ -27,6 +27,7 @@ Run from the repository root (CI job ``fleet-smoke``)::
 from __future__ import annotations
 
 import sys
+from pathlib import Path
 
 from repro.core.campaign import Campaign, quick_config
 from repro.errors import ConfigurationError
@@ -38,14 +39,19 @@ from repro.leo.fleet import (
     fleet_seeds,
 )
 from repro.leo.ground import STARLINK_GATEWAYS
-from repro.leo.scheduling import SLOT_DURATION, SatelliteScheduler
+from repro.leo.scheduling import SLOT_DURATION
 from repro.testing.digest import digest_value
+
+# The reference oracle lives with the tests, under the repository root.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from tests.leo.oracle import SatelliteScheduler  # noqa: E402
 
 #: Snapshot-sequence digest for gate 1 (seed 0, 400 slots, satellite
 #: 700 out over slots [40, 80), gateway ``gw-ghlin`` out over
-#: [120, 160)). Recorded from the *scalar* scheduler; the fleet path
-#: must reproduce it bit for bit. Re-record only for a deliberate,
-#: explained change to selection semantics.
+#: [120, 160)). Recorded from the scalar scheduler now kept as the
+#: test oracle; the fleet scheduler must reproduce it bit for bit.
+#: Re-record only for a deliberate, explained change to selection
+#: semantics.
 T1_PINNED = (
     "ca73fa596d9c2d9849942eae4554cb97"
     "f7b8aea12efd63074101fd503da396bc"
@@ -72,17 +78,14 @@ def t1_digests() -> tuple[str, str]:
     uts = build_fleet_terminals(spec)
     seeds = fleet_seeds(0, 1)
     fleet = FleetScheduler(Constellation(), uts, STARLINK_GATEWAYS,
-                           seeds=seeds)
-    scalar = SatelliteScheduler(Constellation(), uts[0],
-                                STARLINK_GATEWAYS, seed=seeds[0])
-    for sched_add, gw_add in ((fleet.add_outage,
-                               fleet.add_gateway_outage),
-                              (scalar.add_outage,
-                               scalar.add_gateway_outage)):
-        sched_add(*SAT_OUT)
-        gw_add(*GW_OUT)
+                           seeds=seeds, outages=[SAT_OUT],
+                           gateway_outages=[GW_OUT])
+    oracle = SatelliteScheduler(Constellation(), uts[0],
+                                STARLINK_GATEWAYS, seed=seeds[0],
+                                outages=[SAT_OUT],
+                                gateway_outages=[GW_OUT])
     return (walk(lambda t: fleet.snapshot_at(0, t)),
-            walk(scalar.snapshot))
+            walk(oracle.snapshot))
 
 
 def fleet_campaign_config():
@@ -96,18 +99,18 @@ def fleet_campaign_config():
 def main() -> int:
     failures: list[str] = []
 
-    # Gate 1: T=1 fleet == scalar == pinned digest over 400 slots.
-    fleet_digest, scalar_digest = t1_digests()
+    # Gate 1: T=1 scheduler == oracle == pinned digest, 400 slots.
+    fleet_digest, oracle_digest = t1_digests()
     print(f"t1 fleet:  digest {fleet_digest[:16]}...")
-    print(f"t1 scalar: digest {scalar_digest[:16]}...")
-    if fleet_digest != scalar_digest:
+    print(f"t1 oracle: digest {oracle_digest[:16]}...")
+    if fleet_digest != oracle_digest:
         failures.append(
             f"T=1: fleet snapshots ({fleet_digest}) diverged from "
-            f"the scalar scheduler ({scalar_digest}) — the "
+            f"the scalar oracle ({oracle_digest}) — the "
             "vectorized path lost bit-identity")
-    if scalar_digest != T1_PINNED:
+    if oracle_digest != T1_PINNED:
         failures.append(
-            f"T=1: scalar snapshot digest {scalar_digest} does not "
+            f"T=1: oracle snapshot digest {oracle_digest} does not "
             f"match the pin {T1_PINNED} — selection semantics moved "
             "without a re-record")
 

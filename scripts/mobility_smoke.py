@@ -82,9 +82,9 @@ def drive_config() -> CampaignConfig:
 def gate3_mobility_report():
     """Analytic drive with an all-gateway maintenance window."""
     model = StarlinkPathModel(
-        seed=0, trajectory=drive_trajectory(seed=0, speed_kmh=90.0))
-    for gw in STARLINK_GATEWAYS:
-        model.scheduler.add_gateway_outage(gw.name, *GW_OUT_SLOTS)
+        seed=0, trajectory=drive_trajectory(seed=0, speed_kmh=90.0),
+        gateway_outages=[(gw.name, *GW_OUT_SLOTS)
+                         for gw in STARLINK_GATEWAYS])
     rng = random.Random(7)
     times = np.arange(0.0, GATE3_HORIZON_S, 15.0)
     rtts = []
@@ -95,7 +95,8 @@ def gate3_mobility_report():
             rtts.append(math.nan)
     pings = PingDataset(series={"anchor": (times, np.array(rtts))})
     availability = analyze_availability(CampaignDatasets(pings=pings))
-    events = model.scheduler.handover_events(0.0, GATE3_HORIZON_S)
+    events = model.scheduler.handover_events(model.index, 0.0,
+                                             GATE3_HORIZON_S)
     return analyze_mobility(availability, events,
                             window_s=GATE3_HORIZON_S,
                             trajectory="drive")

@@ -449,7 +449,7 @@ def analyze_mobility(availability: AvailabilityReport,
     """Handover/outage attribution on top of an availability report.
 
     ``handover_events`` come from
-    :meth:`~repro.leo.scheduling.SatelliteScheduler.handover_events`
+    :meth:`~repro.leo.fleet.FleetScheduler.handover_events`
     scanned over the analysis window (``window_s`` long, starting at
     campaign t=0).
     """

@@ -38,7 +38,7 @@ from repro.core.datasets import (
     StreamingPingDataset,
     VisitSample,
 )
-from repro.disrupt.apply import apply_to_access, apply_to_scheduler
+from repro.disrupt.apply import apply_to_access, gateway_outage_slots
 from repro.disrupt.scenarios import build_scenario, scenario_names
 from repro.errors import ConfigurationError
 from repro.exec.journal import Journal
@@ -285,16 +285,15 @@ class Campaign:
         #: stationary/no-obstruction config, keeping the scheduler on
         #: its classic fixed-terminal fast path byte for byte.
         self.trajectory, self.obstruction = build_mobility(self.config)
+        #: Materialised adverse-conditions scenario; clear_sky builds
+        #: an empty schedule, which installs nothing.
+        self.scenario = build_scenario(self.config.scenario,
+                                       self.config)
         self.path_model = StarlinkPathModel(
             constellation=self.constellation, timeline=self.timeline,
             seed=self.config.seed, trajectory=self.trajectory,
-            obstruction=self.obstruction)
-        #: Materialised adverse-conditions scenario; clear_sky builds
-        #: an empty schedule and the applications below are no-ops.
-        self.scenario = build_scenario(self.config.scenario,
-                                       self.config)
-        apply_to_scheduler(self.path_model.scheduler,
-                           self.scenario.campaign)
+            obstruction=self.obstruction,
+            gateway_outages=gateway_outage_slots(self.scenario.campaign))
         #: Per-dataset crash-safety bookkeeping from the latest runs;
         #: summarised by :meth:`degradation_report`.
         self._dataset_failures: dict[str, list[UnitFailure]] = {}
@@ -314,13 +313,13 @@ class Campaign:
 
     def _starlink_access(self, epoch: float, run_seed: int
                          ) -> StarlinkAccess:
-        access = StarlinkAccess(seed=run_seed, epoch_t=epoch,
-                                timeline=self.timeline,
-                                constellation=self.constellation,
-                                trajectory=self.trajectory,
-                                obstruction=self.obstruction)
-        apply_to_access(access,
-                        self.scenario.experiment_schedule(epoch))
+        schedule = self.scenario.experiment_schedule(epoch)
+        access = StarlinkAccess(
+            seed=run_seed, epoch_t=epoch, timeline=self.timeline,
+            constellation=self.constellation,
+            trajectory=self.trajectory, obstruction=self.obstruction,
+            gateway_outages=gateway_outage_slots(schedule))
+        apply_to_access(access, schedule)
         return access
 
     # -- work-unit decomposition -------------------------------------------
@@ -641,7 +640,8 @@ class Campaign:
             availability = analyze_availability(
                 data, scenario=self.config.scenario)
         window = self.mobility_window_s()
-        events = self.path_model.scheduler.handover_events(0.0, window)
+        model = self.path_model
+        events = model.scheduler.handover_events(model.index, 0.0, window)
         obstruction_windows = (
             self.obstruction.obstructed_windows(0.0, window)
             if self.obstruction is not None else ())

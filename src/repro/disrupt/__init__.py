@@ -17,6 +17,7 @@ from repro.disrupt.apply import (
     ScheduledExtraLoss,
     apply_to_access,
     apply_to_scheduler,
+    gateway_outage_slots,
 )
 from repro.disrupt.scenarios import (
     DEFAULT_SCENARIO,
@@ -56,6 +57,7 @@ __all__ = [
     "build_scenario",
     "build_wet_month",
     "fade_windows_from_rain",
+    "gateway_outage_slots",
     "generate_rain_trace",
     "register_scenario",
     "scenario_names",

@@ -5,12 +5,14 @@ Two installation targets:
 * :func:`apply_to_access` — a packet-level
   :class:`~repro.leo.access.StarlinkAccess`: fades attach capacity
   attenuation and extra medium loss, blackouts compose an outage
-  window onto the space link, gateway windows feed the satellite
-  scheduler and route blackouts schedule a withdraw/restore pair on
-  the exit PoP.
+  window onto the space link and route blackouts schedule a
+  withdraw/restore pair on the exit PoP. Gateway windows are
+  scheduler inputs, so they enter at construction:
+  ``StarlinkAccess(gateway_outages=gateway_outage_slots(schedule))``.
 * :func:`apply_to_scheduler` — the shared analytic scheduler behind
   the five-month ping series (gateway outages change which PoP the
-  path exits at, which the latency series must reflect).
+  path exits at, which the latency series must reflect). Schedulers
+  are immutable; this returns a new one.
 
 Installation with an empty schedule is a no-op by construction: no
 hook is attached, no loss model wrapped, no event scheduled and no
@@ -24,6 +26,7 @@ import math
 import random
 
 from repro.disrupt.schedule import DisruptionSchedule
+from repro.errors import ConfigurationError
 from repro.leo.scheduling import SLOT_DURATION
 from repro.netsim.loss import CompositeLoss, OutageSchedule
 from repro.rng import make_rng
@@ -57,21 +60,42 @@ def _slot_span(start_t: float, end_t: float) -> tuple[int, int]:
     return first, max(last, first + 1)
 
 
-def apply_to_scheduler(scheduler, schedule: DisruptionSchedule) -> None:
-    """Install gateway maintenance windows into a satellite scheduler."""
-    for gateway, start_t, end_t in schedule.gateway_outages():
-        first, last = _slot_span(start_t, end_t)
-        scheduler.add_gateway_outage(gateway, first, last)
+def gateway_outage_slots(schedule: DisruptionSchedule
+                         ) -> tuple[tuple[str, int, int], ...]:
+    """``(gateway_name, first_slot, last_slot)`` scheduler windows of
+    the schedule's gateway maintenance windows."""
+    return tuple((gateway, *_slot_span(start_t, end_t))
+                 for gateway, start_t, end_t in schedule.gateway_outages())
+
+
+def apply_to_scheduler(scheduler, schedule: DisruptionSchedule):
+    """``scheduler`` with the schedule's gateway maintenance windows
+    (the scheduler itself when there are none)."""
+    windows = gateway_outage_slots(schedule)
+    if not windows:
+        return scheduler
+    return scheduler.with_outages(gateway_outages=windows)
 
 
 def apply_to_access(access, schedule: DisruptionSchedule) -> None:
     """Install every effect of ``schedule`` into a StarlinkAccess.
 
     Must be called after construction and before the experiment
-    starts driving the simulator. A no-op for empty schedules.
+    starts driving the simulator. A no-op for empty schedules. The
+    access must have been built with the schedule's gateway windows
+    (:func:`gateway_outage_slots`); a missing one raises
+    :class:`~repro.errors.ConfigurationError` rather than being
+    silently dropped.
     """
     if schedule.is_empty:
         return
+    missing = (set(gateway_outage_slots(schedule))
+               - set(access.path_model.scheduler.gateway_outages))
+    if missing:
+        raise ConfigurationError(
+            f"gateway outages {sorted(missing)} are not in the access's "
+            "scheduler; build the access with "
+            "gateway_outages=gateway_outage_slots(schedule)")
 
     # Capacity: fades and surges shrink the granted rate.
     if schedule.has_capacity_effects():
@@ -94,11 +118,6 @@ def apply_to_access(access, schedule: DisruptionSchedule) -> None:
                      access.space_link.pipe_ba):
             pipe.loss = CompositeLoss(
                 [pipe.loss, OutageSchedule(blackouts)])
-
-    # Gateway maintenance: the experiment's own scheduler re-plans
-    # around the missing gateway (the access builds a private path
-    # model, so this never leaks into other experiments).
-    apply_to_scheduler(access.path_model.scheduler, schedule)
 
     # Exit-PoP route withdrawal: the pop blackholes everything during
     # the window (silent drops, as during route-convergence gaps).

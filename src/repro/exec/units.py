@@ -10,13 +10,12 @@ which other units.
 
 Shared model state (constellation geometry, campaign timeline, the
 analytic path model, the materialised disruption scenario) is rebuilt
-once per process and memoised per (seed, scenario) in
-:func:`context_for`. That sharing is safe because the model is
-order-independent by construction: scheduler snapshots are seeded per
-slot, and the fibre/jitter caches are pure memo tables whose values
-depend only on their key and the seed. Scenarios get *separate*
-contexts because gateway outages mutate the shared scheduler — a
-clear-sky unit must never see a scheduler another scenario poked.
+once per process and memoised in :func:`context_for`, keyed by the
+config fields the model is built from (:data:`MODEL_FIELDS`). That
+sharing is safe because the model is order-independent by
+construction: scheduler inputs are fixed at construction, snapshots
+are seeded per slot, and the fibre/jitter caches are pure memo tables
+whose values depend only on their key and the seed.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ from repro.core.datasets import (
     SpeedtestSample,
     VisitSample,
 )
-from repro.disrupt.apply import apply_to_access, apply_to_scheduler
+from repro.disrupt.apply import apply_to_access, gateway_outage_slots
 from repro.disrupt.scenarios import Scenario, build_scenario
 from repro.geo.satcom import GeoSatComAccess
 from repro.errors import ConfigurationError
@@ -56,7 +55,6 @@ from repro.leo.events import CampaignTimeline
 from repro.leo.fleet import (
     FleetScheduler,
     FleetSpec,
-    FleetTerminalView,
     build_fleet_terminals,
 )
 from repro.leo.geometry import GeoPoint
@@ -116,38 +114,61 @@ class WorkerContext:
     scenario: Scenario
 
 
+#: :class:`~repro.core.campaign.CampaignConfig` fields the shared
+#: model contexts are built from: the seed, everything the scenario
+#: builders read, the mobility knobs and the fleet shape. Both memo
+#: keys are derived from this list, so a config differing in any of
+#: them gets its own context.
+MODEL_FIELDS = (
+    "seed", "scenario", "ping_days", "ping_interval_s",
+    "pings_per_round", "trajectory", "speed_kmh", "drive_duration_s",
+    "obstruction", "fleet_terminals", "fleet_lat_bands",
+    "fleet_lon_range",
+)
+
+#: Config fields no shared model reads: they shape the work units
+#: (how many, how long, how executed), never the scheduler, the
+#: scenario or the terminal placement. Every CampaignConfig field is
+#: in exactly one of the two lists (tests/exec/test_context_keys.py).
+EXECUTION_ONLY_FIELDS = (
+    "ping_loss_prob", "speedtest_epochs", "speedtest_connections",
+    "speedtest_warmup_s", "speedtest_measure_s", "satcom_warmup_s",
+    "bulk_per_direction", "bulk_bytes", "messages_per_direction",
+    "messages_duration_s", "web_sites", "web_visits_per_site",
+    "web_visit_deadline_s", "shard_granularity", "ping_shard_rounds",
+    "bulk_segment_bytes", "cc", "fleet_speedtest_epochs",
+    "streaming_pings", "memory_budget_mb", "resource_policy",
+)
+
+
+def model_key(config: "CampaignConfig") -> tuple:
+    """Memo key of the shared model state a config describes."""
+    return tuple(getattr(config, name) for name in MODEL_FIELDS)
+
+
 _CONTEXTS: dict[tuple, WorkerContext] = {}
 
 
 def context_for(config: "CampaignConfig") -> WorkerContext:
     """The process-local :class:`WorkerContext` for a campaign config.
 
-    Built lazily and memoised, so a worker pays the constellation
-    setup once no matter how many units it executes. The memo key
-    covers the seed, the scenario name, every config knob the
-    scenario's campaign schedule is derived from, AND the mobility
-    knobs — a context armed with one trajectory must never serve a
-    config describing another (the position-dependent caches inside
-    the scheduler would silently be stale for the second config).
+    Built lazily and memoised by :func:`model_key`, so a worker pays
+    the constellation setup once no matter how many units it
+    executes. The campaign-scale gateway outages of the scenario are
+    scheduler inputs (none for clear_sky).
     """
-    key = (config.seed, config.scenario, config.ping_days,
-           config.ping_interval_s, config.pings_per_round,
-           config.trajectory, config.speed_kmh,
-           config.drive_duration_s, config.obstruction)
+    key = model_key(config)
     ctx = _CONTEXTS.get(key)
     if ctx is None:
         timeline = CampaignTimeline()
         constellation = Constellation()
         scenario = build_scenario(config.scenario, config)
         trajectory, obstruction = build_mobility(config)
-        path_model = StarlinkPathModel(constellation=constellation,
-                                       timeline=timeline,
-                                       seed=config.seed,
-                                       trajectory=trajectory,
-                                       obstruction=obstruction)
-        # Campaign-scale gateway outages live in the shared scheduler
-        # (a no-op for clear_sky: the empty schedule installs nothing).
-        apply_to_scheduler(path_model.scheduler, scenario.campaign)
+        path_model = StarlinkPathModel(
+            constellation=constellation, timeline=timeline,
+            seed=config.seed, trajectory=trajectory,
+            obstruction=obstruction,
+            gateway_outages=gateway_outage_slots(scenario.campaign))
         ctx = WorkerContext(
             timeline=timeline, constellation=constellation,
             path_model=path_model, scenario=scenario)
@@ -159,30 +180,31 @@ def _starlink_access(config: "CampaignConfig", epoch: float,
                      run_seed: int,
                      capacity_share: float = 1.0) -> StarlinkAccess:
     ctx = context_for(config)
-    scheduler = ctx.path_model.scheduler
-    access = StarlinkAccess(seed=run_seed, epoch_t=epoch,
-                            timeline=ctx.timeline,
-                            constellation=ctx.constellation,
-                            capacity_share=capacity_share,
-                            trajectory=scheduler.trajectory,
-                            obstruction=scheduler.obstruction)
     # Shift the scenario's experiment overlay to this epoch and
-    # install it on the freshly built (private) access. Clear-sky
+    # install it on a freshly built (private) access. Clear-sky
     # overlays are empty, and installing an empty schedule touches
     # neither RNG streams nor the event queue.
-    apply_to_access(access, ctx.scenario.experiment_schedule(epoch))
+    schedule = ctx.scenario.experiment_schedule(epoch)
+    scheduler = ctx.path_model.scheduler
+    access = StarlinkAccess(
+        seed=run_seed, epoch_t=epoch, timeline=ctx.timeline,
+        constellation=ctx.constellation, capacity_share=capacity_share,
+        trajectory=scheduler.trajectories[0],
+        obstruction=scheduler.obstructions[0],
+        gateway_outages=gateway_outage_slots(schedule))
+    apply_to_access(access, schedule)
     return access
 
 
 @dataclass
 class FleetContext:
-    """Per-process shared fleet state for one (seed, scenario, spec).
+    """Per-process shared fleet state for one config.
 
     One :class:`FleetScheduler` serves every terminal unit the
     process executes, so a slot's batched geometry is computed once
     no matter how many terminals sample it. Path models are built
-    lazily per terminal around a :class:`FleetTerminalView`, each
-    seeded with that terminal's scheduler seed.
+    lazily per terminal, each seeded with that terminal's scheduler
+    seed.
     """
 
     timeline: CampaignTimeline
@@ -191,14 +213,26 @@ class FleetContext:
     scenario: Scenario
     models: dict[int, StarlinkPathModel] = field(default_factory=dict)
 
-    def model_for(self, index: int) -> StarlinkPathModel:
-        """The path model of terminal ``index`` (memoised)."""
+    def model_for(self, index: int,
+                  gateway_outages=()) -> StarlinkPathModel:
+        """The path model of terminal ``index`` (memoised).
+
+        ``gateway_outages`` (an experiment's own maintenance windows)
+        give a private model on a scheduler carrying them, so they
+        never reach the shared fleet.
+        """
+        if gateway_outages:
+            return StarlinkPathModel(
+                timeline=self.timeline, seed=self.fleet.seeds[index],
+                scheduler=self.fleet.with_outages(
+                    gateway_outages=gateway_outages),
+                index=index)
         model = self.models.get(index)
         if model is None:
             model = StarlinkPathModel(
                 timeline=self.timeline,
                 seed=self.fleet.seeds[index],
-                scheduler=FleetTerminalView(self.fleet, index))
+                scheduler=self.fleet, index=index)
             self.models[index] = model
         return model
 
@@ -217,34 +251,23 @@ def fleet_spec_for(config: "CampaignConfig") -> FleetSpec:
 def fleet_context_for(config: "CampaignConfig") -> FleetContext:
     """The process-local :class:`FleetContext` for a campaign config.
 
-    Memoised like :func:`context_for`; the key additionally covers
-    the fleet shape so two configs that place terminals differently
-    never share a scheduler.
-
-    Cache audit (mobility): fleet terminals are deliberately fixed —
-    the config's trajectory/obstruction knobs apply to the classic
-    single-dish pipeline only, so omitting them from this key is
-    correct (two configs differing only in mobility produce identical
-    fleet datasets and may share the context). The fleet's
-    per-(slot, satellite) gateway memo is position-independent too:
-    gateway geometry relates satellites to *gateways*, never to
-    terminal positions.
+    Memoised by :func:`model_key` like :func:`context_for`. Fleet
+    terminals are fixed: the config's trajectory/obstruction knobs
+    apply to the classic single-dish pipeline only. Campaign-scale
+    gateway outages are fleet-wide, exactly as they are for the
+    single dish.
     """
-    key = (config.seed, config.scenario, config.ping_days,
-           config.ping_interval_s, config.pings_per_round,
-           config.fleet_terminals, config.fleet_lat_bands,
-           config.fleet_lon_range)
+    key = model_key(config)
     ctx = _FLEET_CONTEXTS.get(key)
     if ctx is None:
         timeline = CampaignTimeline()
         constellation = Constellation()
         terminals = build_fleet_terminals(fleet_spec_for(config))
-        fleet = FleetScheduler(constellation, terminals,
-                               STARLINK_GATEWAYS, seed=config.seed)
         scenario = build_scenario(config.scenario, config)
-        # Campaign-scale gateway outages are fleet-wide, exactly as
-        # they are for the single-dish scheduler.
-        apply_to_scheduler(fleet, scenario.campaign)
+        fleet = FleetScheduler(
+            constellation, terminals, STARLINK_GATEWAYS,
+            seed=config.seed,
+            gateway_outages=gateway_outage_slots(scenario.campaign))
         ctx = FleetContext(timeline=timeline,
                            constellation=constellation,
                            fleet=fleet, scenario=scenario)
@@ -887,11 +910,12 @@ class FleetTerminalUnit:
                 throughput_mbps=0.0,
                 outcome=MeasurementOutcome(
                     "unreachable", detail=str(exc)))
+        schedule = ctx.scenario.experiment_schedule(epoch)
+        model = ctx.model_for(self.index, gateway_outage_slots(schedule))
         access = StarlinkAccess(seed=run_seed, epoch_t=epoch,
-                                timeline=ctx.timeline,
-                                path_model=ctx.model_for(self.index),
+                                timeline=ctx.timeline, path_model=model,
                                 capacity_share=share)
-        apply_to_access(access, ctx.scenario.experiment_schedule(epoch))
+        apply_to_access(access, schedule)
         server = access.add_remote_host("ookla", "62.4.0.10",
                                         OOKLA_BRUSSELS)
         access.finalize()

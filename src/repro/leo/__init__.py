@@ -2,7 +2,8 @@
 
 The chain is: orbital geometry (:mod:`geometry`, :mod:`orbits`,
 :mod:`constellation`) -> ground segment (:mod:`ground`) -> serving-
-satellite selection and handover (:mod:`scheduling`) -> radio capacity
+satellite selection and handover (:mod:`scheduling`, :mod:`fleet`;
+the single dish is a fleet of one terminal) -> radio capacity
 and medium loss (:mod:`channel`) -> campaign-scale exogenous events
 (:mod:`events`) -> an assembled access network ready for experiments
 (:mod:`access`).
@@ -27,12 +28,7 @@ from repro.leo.ground import (
     STARLINK_GATEWAYS,
     STARLINK_POPS,
 )
-from repro.leo.scheduling import (
-    HandoverEvent,
-    PathSnapshot,
-    SatelliteScheduler,
-    scan_handover_events,
-)
+from repro.leo.scheduling import HandoverEvent, PathSnapshot
 from repro.leo.mobility import (
     ObstructionTrace,
     SkyMask,
@@ -47,7 +43,6 @@ from repro.leo.mobility import (
 from repro.leo.fleet import (
     FleetScheduler,
     FleetSpec,
-    FleetTerminalView,
     build_fleet_terminals,
     fleet_seeds,
 )
@@ -67,10 +62,8 @@ __all__ = [
     "UserTerminal",
     "STARLINK_GATEWAYS",
     "STARLINK_POPS",
-    "SatelliteScheduler",
     "PathSnapshot",
     "HandoverEvent",
-    "scan_handover_events",
     "Trajectory",
     "StationaryTrajectory",
     "WaypointTrajectory",
@@ -82,7 +75,6 @@ __all__ = [
     "build_obstruction",
     "FleetScheduler",
     "FleetSpec",
-    "FleetTerminalView",
     "build_fleet_terminals",
     "fleet_seeds",
     "CapacityProcess",

@@ -36,7 +36,8 @@ from repro.leo.ground import (
     UserTerminal,
     default_terminal,
 )
-from repro.leo.scheduling import SLOT_DURATION, SatelliteScheduler
+from repro.leo.fleet import FleetScheduler
+from repro.leo.scheduling import SLOT_DURATION, PathSnapshot
 from repro.netsim.engine import Simulator
 from repro.netsim.loss import CompositeLoss, UnservedLoss
 from repro.netsim.queues import DropTailQueue
@@ -113,33 +114,39 @@ class StarlinkPathModel:
                  terminal: UserTerminal | None = None,
                  timeline: CampaignTimeline | None = None,
                  seed: int = 0,
-                 scheduler: SatelliteScheduler | None = None,
+                 scheduler: FleetScheduler | None = None,
+                 index: int = 0,
                  trajectory=None,
-                 obstruction=None):
+                 obstruction=None,
+                 gateway_outages=()):
         self.params = params or StarlinkParams()
         self.timeline = timeline or CampaignTimeline()
         self.seed = seed
-        if scheduler is not None:
-            # Injected scheduler (e.g. a FleetTerminalView sharing one
-            # FleetScheduler across terminals): the model follows its
-            # constellation/terminal instead of building its own.
-            # Injected schedulers manage their own mobility state.
-            self.scheduler = scheduler
-            self.constellation = scheduler.constellation
-            self.terminal = scheduler.terminal
-        else:
-            self.constellation = constellation or Constellation()
-            self.terminal = terminal or default_terminal()
-            self.scheduler = SatelliteScheduler(
-                self.constellation, self.terminal, STARLINK_GATEWAYS,
-                seed=seed, trajectory=trajectory,
-                obstruction=obstruction)
+        if scheduler is None:
+            # The classic single dish: a fleet of one terminal.
+            scheduler = FleetScheduler(
+                constellation or Constellation(),
+                [terminal or default_terminal()], STARLINK_GATEWAYS,
+                seeds=[seed], trajectories=[trajectory],
+                obstructions=[obstruction],
+                gateway_outages=gateway_outages)
+        if not 0 <= index < scheduler.size:
+            raise ConfigurationError(
+                f"terminal index {index} outside fleet of "
+                f"{scheduler.size}")
+        #: The scheduler this model follows, and which of its
+        #: terminals is this model's dish. ``constellation``,
+        #: ``terminal``, ``trajectory``, ``obstruction`` and
+        #: ``gateway_outages`` only build the scheduler when none is
+        #: given.
+        self.scheduler = scheduler
+        self.index = index
+        self.constellation = scheduler.constellation
+        self.terminal = scheduler.terminals[index]
         self._fiber_cache: dict[str, float] = {}
         self._jitter_cache: dict[tuple[str, int], float] = {}
-        #: Slot -> slot-constant part of base_one_way; valid only
-        #: while the scheduler stays at ``_base_cache_version``.
+        #: Slot -> slot-constant part of base_one_way.
         self._base_cache: dict[int, float] = {}
-        self._base_cache_version = self.scheduler.version
 
     # -- building blocks ----------------------------------------------
 
@@ -154,16 +161,11 @@ class StarlinkPathModel:
         scheduler slot, so it is memoized per slot (the cached value
         is the identical left-to-right float sum the uncached
         expression produces -- only the time-varying timeline and
-        diurnal terms are re-added per call). The cache is discarded
-        whenever :attr:`SatelliteScheduler.version` moves, i.e. when
-        outage injection retroactively changes slot allocations.
+        diurnal terms are re-added per call). The scheduler's inputs
+        are fixed at construction, so a cached slot never goes stale.
         """
         if self.base_cache_enabled:
-            scheduler = self.scheduler
-            if scheduler.version != self._base_cache_version:
-                self._base_cache.clear()
-                self._base_cache_version = scheduler.version
-            slot = scheduler.slot_of(t)
+            slot = self.scheduler.slot_of(t)
             base = self._base_cache.get(slot)
             if base is None:
                 base = self._slot_base(t)
@@ -178,7 +180,7 @@ class StarlinkPathModel:
 
     def _slot_base(self, t: float) -> float:
         """Slot-constant part of :meth:`base_one_way` at time ``t``."""
-        snap = self.scheduler.snapshot(t)
+        snap = self.snapshot(t)
         gw_to_pop = self._fiber_one_way(snap.gateway.name,
                                         snap.gateway.location,
                                         self.pop_location(t))
@@ -239,29 +241,30 @@ class StarlinkPathModel:
         """One-way UT->PoP (or PoP->UT) delay including jitter."""
         return self.base_one_way(t) + self.jitter(rng, direction, t)
 
+    def snapshot(self, t: float) -> PathSnapshot:
+        """This dish's path in force at time ``t`` (raises
+        :class:`ConfigurationError` for unservable slots)."""
+        return self.scheduler.snapshot_at(self.index, t)
+
     def pop_location(self, t: float) -> GeoPoint:
         """Location of the PoP in force at time ``t``."""
-        pop_name = self.scheduler.snapshot(t).pop
-        return STARLINK_POPS[pop_name].location
+        return STARLINK_POPS[self.snapshot(t).pop].location
 
     def pop_name(self, t: float) -> str:
         """Name of the PoP in force at time ``t``."""
-        return self.scheduler.snapshot(t).pop
+        return self.snapshot(t).pop
 
     # -- mobility / obstruction hardening ------------------------------
 
     @property
     def mobility_armed(self) -> bool:
         """Whether slots can be unservable from motion/obstruction."""
-        scheduler = self.scheduler
-        return bool(getattr(scheduler, "_mobile", False)
-                    or getattr(scheduler, "obstruction", None)
-                    is not None)
+        return self.scheduler.mobility_armed(self.index)
 
     def is_unserved(self, t: float) -> bool:
         """Whether the slot under ``t`` has no servable path."""
         try:
-            self.scheduler.snapshot(t)
+            self.snapshot(t)
         except ConfigurationError:
             return True
         return False
@@ -292,7 +295,7 @@ class StarlinkPathModel:
         """
         for k in range(scan_slots):
             try:
-                pop = self.scheduler.snapshot(t + k * SLOT_DURATION).pop
+                pop = self.snapshot(t + k * SLOT_DURATION).pop
             except ConfigurationError:
                 continue
             return STARLINK_POPS[pop].location
@@ -335,7 +338,8 @@ class StarlinkAccess:
                  path_model: StarlinkPathModel | None = None,
                  capacity_share: float = 1.0,
                  trajectory=None,
-                 obstruction=None):
+                 obstruction=None,
+                 gateway_outages=()):
         self.params = params or StarlinkParams()
         self.seed = seed
         self.epoch_t = epoch_t
@@ -345,12 +349,14 @@ class StarlinkAccess:
         #: and loss do not.
         self.capacity_share = capacity_share
         self.timeline = timeline or CampaignTimeline()
-        # trajectory/obstruction must be armed before _build_access so
-        # mobility_armed wires UnservedLoss onto the space link.
+        # Every scheduler input (trajectory, obstruction, gateway
+        # maintenance windows as (name, start_slot, end_slot)) is
+        # fixed here: _build_access binds the path model into the
+        # space link's loss and delay callables.
         self.path_model = path_model or StarlinkPathModel(
             params=self.params, constellation=constellation,
             timeline=self.timeline, seed=seed, trajectory=trajectory,
-            obstruction=obstruction)
+            obstruction=obstruction, gateway_outages=gateway_outages)
         self.channel = StarlinkChannel(
             down_mean=self.params.down_mean_bps,
             up_mean=self.params.up_mean_bps, seed=seed,

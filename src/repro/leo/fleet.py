@@ -1,19 +1,24 @@
-"""Fleet-scale scheduling: many terminals on one shared constellation.
+"""Serving-satellite selection for a fleet of terminals.
 
-The paper measures a single dish; its follow-ons (and the roadmap's
-"millions of users" north star) need thousands of vantage points on
-the *same* constellation. Running one :class:`SatelliteScheduler` per
-terminal repeats the expensive work T times per slot: every scheduler
-re-propagates visibility over all N satellites and — the dominant
-cost — re-derives per-satellite gateway geometry candidate by
-candidate (O(visible x gateways) scalar Python calls).
+Starlink reallocates the serving satellite and gateway on a fixed
+15-second cycle (:data:`~repro.leo.scheduling.SLOT_DURATION`); the
+path length, and with it the latency floor, steps at slot boundaries.
+:class:`FleetScheduler` is the one scheduler that decides those
+paths. The paper's single dish is a fleet of one terminal; the
+multi-vantage campaign mode runs thousands on the *same*
+constellation.
 
-:class:`FleetScheduler` computes a whole slot for T terminals in one
-batched pass and is **bit-identical** per terminal to a scalar
-``SatelliteScheduler(seed=seeds[i])`` (pinned by
+Every input is fixed at construction: terminals and their seeds,
+each terminal's trajectory and obstruction trace, satellite outages
+and gateway outages. A cached slot therefore can never go stale, and
+fault injection or a disruption scenario derives a new scheduler with
+:meth:`FleetScheduler.with_outages` instead of mutating a live one.
+
+A whole slot is computed for all T terminals in one batched pass,
+bit-identical per terminal to the plain scalar selection kept as the
+reference oracle in ``tests/leo/oracle.py`` (pinned by
 ``tests/leo/test_fleet_differential.py`` and the ``fleet-smoke`` CI
-digest gate). The trick is to vectorise only where floats cannot
-move:
+digest gate). Only steps whose floats cannot move are vectorised:
 
 * One conservative **prefilter** per slot: a single (T, 3) x (3, N)
   matmul of unit vectors bounds the central angle between every
@@ -24,23 +29,28 @@ move:
   cosine slack, so the surviving set is a strict superset of the
   visible set.
 * Exact per-terminal geometry on the surviving subset with the *same*
-  vectorised kernels the scalar path uses: numpy row-subset
-  elementwise ops, ``@`` with a fixed unit vector and
-  ``norm(axis=1)`` produce bit-identical floats on a subset of rows,
-  so elevations/ranges match the scalar scheduler byte for byte.
+  vectorised kernels as :meth:`Constellation.visible_from`: numpy
+  row-subset elementwise ops, ``@`` with a fixed unit vector and
+  ``norm(axis=1)`` produce bit-identical floats on a subset of rows.
   (A broadcast (T, N) formulation would *not*: scalar BLAS dot/norm
   round through FMA contractions that numpy's broadcast kernels
   don't reproduce.)
 * Per-satellite **gateway geometry memoised once per slot** and
-  shared by every terminal. The scalar scheduler recomputes it per
-  candidate per terminal even though two terminals considering the
-  same satellite get the same answer; the fleet pays the scalar-op
-  cost once per distinct satellite actually considered.
+  shared by every terminal: it relates satellites to gateways, never
+  to terminal positions, so the scalar-op cost is paid once per
+  distinct satellite actually considered.
 
-Selection itself stays per terminal: the same descending-elevation
-candidate walk, the same ``candidate_pool`` cutoff, and the same
-``make_rng((seed, slot)).choice(...)`` draw, so snapshots — and every
-digest derived from them — are unchanged.
+Selection itself stays per terminal: the descending-elevation
+candidate walk (skipping out-of-service satellites, sky sectors the
+terminal's obstruction mask blocks, and satellites no in-service
+gateway sees), the ``candidate_pool`` cutoff and the
+``make_rng((seed, slot)).choice(...)`` draw, so every digest derived
+from the snapshots is unchanged.
+
+A moving terminal's position is evaluated at the start of each slot;
+it feeds both the exact geometry and that terminal's prefilter row.
+A stationary trajectory collapses to its position at ``t = 0``, the
+same floats as a fixed :class:`~repro.leo.ground.UserTerminal` there.
 
 Fleet placement (:class:`FleetSpec`) assigns terminals to latitude
 bands round-robin with per-terminal seeded jitter, which is how the
@@ -57,15 +67,20 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.leo.constellation import Constellation
-from repro.leo.geometry import GeoPoint, elevation_and_range, unit_up
+from repro.leo.geometry import (
+    GeoPoint,
+    azimuth_angle,
+    elevation_and_range,
+    unit_up,
+)
 from repro.leo.ground import GroundStation, UserTerminal
 from repro.leo.scheduling import (
     SLOT_DURATION,
+    HandoverEvent,
     PathSnapshot,
     _NO_OUTAGES,
     build_outage_index,
     gateway_geometry,
-    scan_handover_events,
     select_gateway,
 )
 from repro.rng import make_rng, stable_seed
@@ -73,7 +88,6 @@ from repro.rng import make_rng, stable_seed
 __all__ = [
     "FleetScheduler",
     "FleetSpec",
-    "FleetTerminalView",
     "build_fleet_terminals",
     "fleet_seeds",
 ]
@@ -145,18 +159,22 @@ def _max_central_angle_deg(rg_m: float, rs_m: float,
 
 
 class FleetScheduler:
-    """Per-slot scheduling for T terminals sharing one constellation.
+    """Per-slot serving satellite and gateway for T terminals.
 
-    Terminal ``i`` is bit-identical to
-    ``SatelliteScheduler(constellation, terminals[i], gateways,
-    seed=seeds[i], candidate_pool=candidate_pool)`` — snapshots,
-    outage behaviour and error messages included. Satellite and
-    gateway outages injected here are fleet-wide, exactly as a failed
-    bird or a gateway in maintenance affects every dish at once.
+    ``trajectories`` and ``obstructions`` hold one entry per terminal
+    (``None``: fixed at the terminal's site / clear sky). ``outages``
+    are ``(sat_index, start_slot, end_slot)`` windows and
+    ``gateway_outages`` ``(gateway_name, start_slot, end_slot)``
+    windows; both are fleet-wide, as a failed bird or a gateway in
+    maintenance affects every dish at once. Unservable slots are
+    reported as :class:`ConfigurationError`, with the same messages
+    as the scalar oracle.
     """
 
-    #: Whole slots (all T snapshots) the LRU retains.
-    slot_cache_slots = 4096
+    #: Whole slots (all T snapshots) the LRU retains. At least the
+    #: 8,640 five-minute slots of a 30-day series, so several series
+    #: sharing one scheduler revisit cached slots.
+    slot_cache_slots = 10_000
     #: Elevation safety margin of the visibility prefilter, degrees.
     #: The analytic bound is exact on a sphere; the margin absorbs
     #: every rounding concern by many orders of magnitude. Shrinking
@@ -170,26 +188,57 @@ class FleetScheduler:
                  seeds: list[int] | None = None,
                  seed: int = 0,
                  candidate_pool: int = 4,
-                 prefilter: bool = True):
+                 trajectories=None,
+                 obstructions=None,
+                 outages=(),
+                 gateway_outages=()):
         if not terminals:
             raise ConfigurationError(
                 "a fleet needs at least one terminal")
         if not gateways:
             raise ConfigurationError("at least one gateway is required")
-        if seeds is not None and len(seeds) != len(terminals):
-            raise ConfigurationError(
-                f"got {len(seeds)} seeds for {len(terminals)} terminals")
+        n = len(terminals)
+        for name, given in (("seeds", seeds),
+                            ("trajectories", trajectories),
+                            ("obstructions", obstructions)):
+            if given is not None and len(given) != n:
+                raise ConfigurationError(
+                    f"got {len(given)} {name} for {n} terminals")
         self.constellation = constellation
         self.terminals = list(terminals)
         self.gateways = list(gateways)
         self.seeds = (list(seeds) if seeds is not None
-                      else fleet_seeds(seed, len(terminals)))
+                      else fleet_seeds(seed, n))
         self.candidate_pool = candidate_pool
-        self.prefilter = prefilter
-        # Exact per-terminal ground state, byte-for-byte what a scalar
-        # scheduler would hold: 1-D ecef vectors and their unit ups.
-        self._ut_ecef = [t.ecef() for t in self.terminals]
+        self.trajectories = (tuple(trajectories)
+                             if trajectories is not None else (None,) * n)
+        self.obstructions = (tuple(obstructions)
+                             if obstructions is not None else (None,) * n)
+        names = [gw.name for gw in self.gateways]
+        self.outages = tuple(_window(w, "outage") for w in outages)
+        self.gateway_outages = tuple(_window(w, "gateway outage")
+                                     for w in gateway_outages)
+        for name, _, _ in self.gateway_outages:
+            if name not in names:
+                raise ConfigurationError(
+                    f"unknown gateway {name!r}; have {names}")
+        self._gw_windows = [(names.index(name), start, end)
+                            for name, start, end in self.gateway_outages]
+        # Interval indices (slot -> frozenset of out identifiers);
+        # None means "too large to materialise, scan instead".
+        self._out_index = build_outage_index(list(self.outages))
+        self._gw_out_index = build_outage_index(self._gw_windows)
+        # Exact per-terminal ground state: 1-D ecef vectors and their
+        # unit ups. A trajectory's t=0 position stands in for the
+        # terminal's site; moving terminals re-evaluate it per slot.
+        self._ut_ecef = [
+            traj.position_at(0.0).to_ecef() if traj is not None
+            else ut.ecef()
+            for ut, traj in zip(self.terminals, self.trajectories)]
         self._ut_ups = [unit_up(g) for g in self._ut_ecef]
+        self._mobile = tuple(
+            i for i, traj in enumerate(self.trajectories)
+            if traj is not None and not traj.is_stationary)
         self._gw_ecef = np.array([gw.ecef() for gw in self.gateways])
         self._gw_ups = [unit_up(gw) for gw in self._gw_ecef]
         # Prefilter state: unit directions as a (T, 3) matrix and the
@@ -202,21 +251,28 @@ class FleetScheduler:
         self._cos_thresh: np.ndarray | None = None
         self._thresh_min_el: float | None = None
         #: slot -> per-terminal entries (PathSnapshot, or the
-        #: ConfigurationError that terminal's scalar twin would raise).
+        #: ConfigurationError explaining why the slot is unservable).
         self._slot_cache: OrderedDict[
             int, list[PathSnapshot | ConfigurationError]] = OrderedDict()
-        self._outages: list[tuple[int, int, int]] = []
-        self._gateway_outages: list[tuple[int, int, int]] = []
-        self._out_index: dict[int, frozenset[int]] | None = {}
-        self._gw_out_index: dict[int, frozenset[int]] | None = {}
-        self._index_version = 0
-        #: Bumped on outage injection; downstream per-slot caches
-        #: (e.g. the path model's base-delay memo) key on it.
-        self.version = 0
         #: Prefilter effectiveness counters (candidates kept / total
         #: satellite-terminal pairs examined); observability only.
         self.prefilter_kept = 0
         self.prefilter_total = 0
+
+    def with_outages(self, outages=(), gateway_outages=()
+                     ) -> "FleetScheduler":
+        """A scheduler with these windows on top of this one's.
+
+        Everything else is carried over and the constellation (with
+        its position cache) is shared; this scheduler is untouched.
+        """
+        return FleetScheduler(
+            self.constellation, self.terminals, self.gateways,
+            seeds=self.seeds, candidate_pool=self.candidate_pool,
+            trajectories=self.trajectories,
+            obstructions=self.obstructions,
+            outages=self.outages + tuple(outages),
+            gateway_outages=self.gateway_outages + tuple(gateway_outages))
 
     # -- fleet shape --------------------------------------------------
 
@@ -229,60 +285,24 @@ class FleetScheduler:
         """Scheduler slot index containing time ``t``."""
         return int(t // SLOT_DURATION)
 
-    # -- outage injection (fleet-wide) --------------------------------
-
-    def add_outage(self, sat_index: int, start_slot: int,
-                   end_slot: int) -> None:
-        """Take a satellite out of service for every terminal."""
-        if end_slot <= start_slot:
-            raise ConfigurationError(
-                f"outage window is empty: [{start_slot}, {end_slot})")
-        self._outages.append((sat_index, start_slot, end_slot))
-        self._bump(start_slot, end_slot)
-
-    def add_gateway_outage(self, gateway_name: str, start_slot: int,
-                           end_slot: int) -> None:
-        """Take a gateway out of service for every terminal."""
-        names = [gw.name for gw in self.gateways]
-        if gateway_name not in names:
-            raise ConfigurationError(
-                f"unknown gateway {gateway_name!r}; have {names}")
-        if end_slot <= start_slot:
-            raise ConfigurationError(
-                f"gateway outage window is empty: "
-                f"[{start_slot}, {end_slot})")
-        self._gateway_outages.append(
-            (names.index(gateway_name), start_slot, end_slot))
-        self._bump(start_slot, end_slot)
-
-    def _bump(self, start_slot: int, end_slot: int) -> None:
-        self.version += 1
-        for slot in range(start_slot, end_slot):
-            self._slot_cache.pop(slot, None)
-
-    def _refresh_outage_index(self) -> None:
-        if self._index_version == self.version:
-            return
-        self._out_index = build_outage_index(self._outages)
-        self._gw_out_index = build_outage_index(self._gateway_outages)
-        self._index_version = self.version
+    def mobility_armed(self, index: int) -> bool:
+        """Whether terminal ``index`` moves or has an obstruction
+        trace, i.e. whether its slots can turn unservable."""
+        return (index in self._mobile
+                or self.obstructions[index] is not None)
 
     def out_sats_at(self, slot: int) -> frozenset[int]:
         """Satellite indices out of service during ``slot``."""
-        self._refresh_outage_index()
         if self._out_index is None:
-            return frozenset(
-                sat for sat, start, end in self._outages
-                if start <= slot < end)
+            return frozenset(sat for sat, start, end in self.outages
+                             if start <= slot < end)
         return self._out_index.get(slot, _NO_OUTAGES)
 
     def out_gateways_at(self, slot: int) -> frozenset[int]:
         """Gateway indices out of service during ``slot``."""
-        self._refresh_outage_index()
         if self._gw_out_index is None:
-            return frozenset(
-                gw for gw, start, end in self._gateway_outages
-                if start <= slot < end)
+            return frozenset(gw for gw, start, end in self._gw_windows
+                             if start <= slot < end)
         return self._gw_out_index.get(slot, _NO_OUTAGES)
 
     # -- queries ------------------------------------------------------
@@ -290,9 +310,11 @@ class FleetScheduler:
     def snapshot_at(self, index: int, t: float) -> PathSnapshot:
         """Terminal ``index``'s path in force at time ``t``.
 
-        Raises exactly the :class:`ConfigurationError` the terminal's
-        scalar scheduler would raise when nothing is visible or no
-        visible satellite sees a gateway.
+        Raises :class:`ConfigurationError` when the slot is
+        unservable for that terminal (sky fully obstructed, nothing
+        visible, or no visible satellite sees an in-service gateway);
+        the error is cached like a snapshot, so a drive-through outage
+        costs one geometry pass per slot, not one per packet.
         """
         entry = self._slot_entries(self.slot_of(t))[index]
         if isinstance(entry, ConfigurationError):
@@ -323,6 +345,50 @@ class FleetScheduler:
         snap = self.snapshot_at(index, t)
         return 1.0 / self.user_counts(t)[snap.sat_index]
 
+    def handover_events(self, index: int, start: float,
+                        end: float) -> list[HandoverEvent]:
+        """Every path-change boundary of terminal ``index`` in
+        ``[start, end)``, with the kinds of change it carries.
+
+        Gateway and PoP switches under an unchanged satellite are
+        reported too (they step the latency floor just like satellite
+        handovers), and a transition into or out of an unservable
+        slot is a ``service`` change.
+        """
+        def state_at(t: float):
+            entry = self._slot_entries(self.slot_of(t))[index]
+            if isinstance(entry, ConfigurationError):
+                return None
+            return (entry.sat_index, entry.gateway.name, entry.pop)
+
+        events: list[HandoverEvent] = []
+        previous = state_at(start)
+        slot = self.slot_of(start) + 1
+        while slot * SLOT_DURATION < end:
+            t = slot * SLOT_DURATION
+            current = state_at(t)
+            if current != previous:
+                kinds = set()
+                if (current is None) != (previous is None):
+                    kinds.add("service")
+                elif current is not None:
+                    for kind, now, before in zip(
+                            ("satellite", "gateway", "pop"),
+                            current, previous):
+                        if now != before:
+                            kinds.add(kind)
+                events.append(HandoverEvent(t=t, kinds=frozenset(kinds)))
+                previous = current
+            slot += 1
+        return events
+
+    def handover_times(self, index: int, start: float,
+                       end: float) -> list[float]:
+        """Slot boundaries where terminal ``index``'s path changes
+        (every kind: satellite, gateway, PoP, service)."""
+        return [event.t
+                for event in self.handover_events(index, start, end)]
+
     # -- the batched slot computation ---------------------------------
 
     def _slot_entries(self, slot: int
@@ -337,22 +403,22 @@ class FleetScheduler:
             self._slot_cache.move_to_end(slot)
         return entries
 
+    def _cos_threshold(self, ground: np.ndarray, min_el: float) -> float:
+        """Prefilter cosine threshold of one ground position."""
+        psi = _max_central_angle_deg(
+            float(np.linalg.norm(ground)), self._max_radius,
+            min_el - self.prefilter_margin_deg)
+        # A hair of cosine slack on top of the 10-degree elevation
+        # margin; cos is decreasing, so lower threshold == more
+        # satellites kept.
+        return math.cos(math.radians(min(psi, 180.0))) - 1e-9
+
     def _thresholds(self, min_el: float) -> np.ndarray:
         """Per-terminal prefilter cosine thresholds, recomputed only
         when the constellation's minimum elevation changes."""
         if self._cos_thresh is None or self._thresh_min_el != min_el:
-            margin_el = min_el - self.prefilter_margin_deg
-            thresh = np.empty(len(self.terminals))
-            for i, ground in enumerate(self._ut_ecef):
-                psi = _max_central_angle_deg(
-                    float(np.linalg.norm(ground)), self._max_radius,
-                    margin_el)
-                # A hair of cosine slack on top of the 10-degree
-                # elevation margin; cos is decreasing, so lower
-                # threshold == more satellites kept.
-                thresh[i] = math.cos(math.radians(min(psi, 180.0))) \
-                    - 1e-9
-            self._cos_thresh = thresh
+            self._cos_thresh = np.array(
+                [self._cos_threshold(g, min_el) for g in self._ut_ecef])
             self._thresh_min_el = min_el
         return self._cos_thresh
 
@@ -361,65 +427,70 @@ class FleetScheduler:
         t = slot * SLOT_DURATION
         positions = self.constellation.positions(t)
         min_el = self.constellation.min_elevation_deg
-        if self.prefilter:
-            # One (T, 3) x (3, N) pass bounds every satellite-terminal
-            # central angle; exact math below runs on survivors only.
-            sat_units = positions * self._inv_radii[:, None]
-            cos_angles = self._ut_units @ sat_units.T
-            keep = cos_angles >= self._thresholds(min_el)[:, None]
-            self.prefilter_kept += int(np.count_nonzero(keep))
-            self.prefilter_total += keep.size
-        out_sats = (self.out_sats_at(slot) if self._outages
+        grounds, ups = self._ut_ecef, self._ut_ups
+        units, thresh = self._ut_units, self._thresholds(min_el)
+        if self._mobile:
+            # Moving terminals: this slot's position feeds both the
+            # exact geometry and the terminal's prefilter row.
+            grounds, ups = list(grounds), list(ups)
+            units, thresh = units.copy(), thresh.copy()
+            for i in self._mobile:
+                ground = self.trajectories[i].position_at(t).to_ecef()
+                grounds[i] = ground
+                ups[i] = unit_up(ground)
+                units[i] = ups[i]
+                thresh[i] = self._cos_threshold(ground, min_el)
+        # One (T, 3) x (3, N) pass bounds every satellite-terminal
+        # central angle; exact math below runs on survivors only.
+        sat_units = positions * self._inv_radii[:, None]
+        keep = units @ sat_units.T >= thresh[:, None]
+        self.prefilter_kept += int(np.count_nonzero(keep))
+        self.prefilter_total += keep.size
+        out_sats = (self.out_sats_at(slot) if self.outages
                     else _NO_OUTAGES)
         out_gws = (self.out_gateways_at(slot)
-                   if self._gateway_outages else _NO_OUTAGES)
-        # Best-gateway choice per satellite, shared across terminals:
-        # the scalar scheduler's dominant cost, paid here once per
-        # distinct satellite actually walked. The memoised value is
-        # the full selection, valid slot-wide because the gateway
-        # outage set is fixed within a slot.
+                   if self.gateway_outages else _NO_OUTAGES)
+        # Best-gateway choice per satellite, shared across terminals;
+        # valid slot-wide because the gateway outage set is fixed
+        # within a slot.
         gw_memo: dict[int, tuple[int, float] | None] = {}
-        entries: list[PathSnapshot | ConfigurationError] = []
-        for i, ground in enumerate(self._ut_ecef):
-            entries.append(self._terminal_slot(
-                i, slot, t, positions, min_el, ground,
-                keep[i] if self.prefilter else None,
-                out_sats, out_gws, gw_memo))
-        return entries
+        return [self._terminal_slot(i, slot, t, positions, min_el,
+                                    grounds[i], ups[i], keep[i],
+                                    out_sats, out_gws, gw_memo)
+                for i in range(len(grounds))]
 
-    def _terminal_slot(self, i, slot, t, positions, min_el, ground,
-                       keep_mask, out_sats, out_gws, gw_memo
+    def _terminal_slot(self, i, slot, t, positions, min_el, ground, up,
+                       keep_row, out_sats, out_gws, gw_memo
                        ) -> PathSnapshot | ConfigurationError:
-        if keep_mask is None:
-            indices, elevations, ranges = \
-                self.constellation.visible_from(
-                    ground, t, up=self._ut_ups[i])
-        else:
-            cand = np.nonzero(keep_mask)[0]
-            # Row-subset computation with the exact kernels the full
-            # visible_from pass uses: bit-identical on the subset.
-            elev, rng_m = elevation_and_range(ground, positions[cand],
-                                              self._ut_ups[i])
-            mask = elev >= min_el
-            indices = cand[mask]
-            if indices.size:
-                elevations = elev[mask]
-                ranges = rng_m[mask]
-                order = np.argsort(-elevations)
-                indices = indices[order]
-                elevations = elevations[order]
-                ranges = ranges[order]
-            else:
-                elevations = ranges = np.array([])
+        obstruction = self.obstructions[i]
+        mask = (obstruction.mask_at(slot)
+                if obstruction is not None else None)
+        if mask is not None and mask.full_sky:
+            return ConfigurationError(
+                f"sky fully obstructed at {self.terminals[i].name} at "
+                f"t={t} (overpass/tunnel slot)")
+        cand = np.nonzero(keep_row)[0]
+        # Row-subset computation with the exact kernels the full
+        # visible_from pass uses: bit-identical on the subset.
+        elev, rng_m = elevation_and_range(ground, positions[cand], up)
+        visible = elev >= min_el
+        indices = cand[visible]
         if indices.size == 0:
             return ConfigurationError(
                 f"no satellite visible from {self.terminals[i].name} "
                 f"at t={t}; constellation too sparse for this latitude")
+        elevations = elev[visible]
+        ranges = rng_m[visible]
+        order = np.argsort(-elevations)
         candidates = []
-        for sat, elev_deg, rng_m in zip(indices.tolist(),
-                                        elevations.tolist(),
-                                        ranges.tolist()):
+        for sat, elev_deg, range_m in zip(indices[order].tolist(),
+                                          elevations[order].tolist(),
+                                          ranges[order].tolist()):
             if sat in out_sats:
+                continue
+            if mask is not None and mask.blocks(
+                    azimuth_angle(ground, positions[sat], up=up),
+                    elev_deg):
                 continue
             if sat in gw_memo:
                 gw_choice = gw_memo[sat]
@@ -431,12 +502,14 @@ class FleetScheduler:
                 gw_memo[sat] = gw_choice
             if gw_choice is None:
                 continue
-            gw_pos_idx, gw_range = gw_choice
-            candidates.append((sat, float(elev_deg), float(rng_m),
-                               gw_pos_idx, gw_range))
+            gw_idx, gw_range = gw_choice
+            candidates.append((sat, elev_deg, range_m, gw_idx, gw_range))
             if len(candidates) >= self.candidate_pool:
                 break
         if not candidates:
+            if mask is not None:
+                return ConfigurationError(
+                    f"all visible satellites obstructed at t={t}")
             return ConfigurationError(
                 f"no visible satellite sees a gateway at t={t}")
         rng = make_rng((self.seeds[i], slot))
@@ -448,78 +521,10 @@ class FleetScheduler:
             elevation_deg=elev_deg)
 
 
-class FleetTerminalView:
-    """One terminal's scheduler-shaped window onto a fleet.
-
-    Duck-compatible with :class:`SatelliteScheduler` where
-    :class:`repro.leo.access.StarlinkPathModel` (and the disruption
-    installers) touch it: ``slot_of`` / ``snapshot`` / ``version`` /
-    outage injection. Outages injected through a view are fleet-wide
-    by design — a failed satellite fails for every dish.
-    """
-
-    def __init__(self, fleet: FleetScheduler, index: int):
-        if not 0 <= index < fleet.size:
-            raise ConfigurationError(
-                f"terminal index {index} outside fleet of {fleet.size}")
-        self.fleet = fleet
-        self.index = index
-
-    @property
-    def terminal(self) -> UserTerminal:
-        """The viewed terminal."""
-        return self.fleet.terminals[self.index]
-
-    @property
-    def constellation(self) -> Constellation:
-        """The shared constellation."""
-        return self.fleet.constellation
-
-    @property
-    def gateways(self) -> list[GroundStation]:
-        """The shared gateways."""
-        return self.fleet.gateways
-
-    @property
-    def seed(self) -> int:
-        """The terminal's selection seed."""
-        return self.fleet.seeds[self.index]
-
-    @property
-    def version(self) -> int:
-        """The fleet's invalidation counter."""
-        return self.fleet.version
-
-    def slot_of(self, t: float) -> int:
-        """Scheduler slot index containing time ``t``."""
-        return self.fleet.slot_of(t)
-
-    def snapshot(self, t: float) -> PathSnapshot:
-        """The terminal's path in force at time ``t``."""
-        return self.fleet.snapshot_at(self.index, t)
-
-    def add_outage(self, sat_index: int, start_slot: int,
-                   end_slot: int) -> None:
-        """Fleet-wide satellite outage (see class docstring)."""
-        self.fleet.add_outage(sat_index, start_slot, end_slot)
-
-    def add_gateway_outage(self, gateway_name: str, start_slot: int,
-                           end_slot: int) -> None:
-        """Fleet-wide gateway outage (see class docstring)."""
-        self.fleet.add_gateway_outage(gateway_name, start_slot,
-                                      end_slot)
-
-    def handover_events(self, start: float, end: float):
-        """Every path-change boundary with kinds (shared scan)."""
-        return scan_handover_events(self.snapshot, self.slot_of,
-                                    start, end)
-
-    def handover_times(self, start: float, end: float) -> list[float]:
-        """Slot boundaries where the serving path changes.
-
-        Same all-kinds semantics (satellite, gateway, PoP, service)
-        as :meth:`SatelliteScheduler.handover_times` — both delegate
-        to the shared :func:`scan_handover_events`.
-        """
-        return [event.t
-                for event in self.handover_events(start, end)]
+def _window(window, what: str) -> tuple:
+    """A validated ``(identifier, start_slot, end_slot)`` triple."""
+    ident, start, end = window
+    if end <= start:
+        raise ConfigurationError(
+            f"{what} window is empty: [{start}, {end})")
+    return ident, start, end

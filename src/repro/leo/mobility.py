@@ -79,10 +79,10 @@ DEFAULT_DRIVE_DURATION_S = 3600.0
 class Trajectory:
     """Where the terminal is at campaign time ``t``.
 
-    Subclasses are frozen dataclasses: a trajectory can never mutate
-    under a scheduler's feet — replacing one requires
-    :meth:`~repro.leo.scheduling.SatelliteScheduler.set_trajectory`,
-    which invalidates every position-dependent cache.
+    Subclasses are frozen dataclasses, and a scheduler takes its
+    terminals' trajectories at construction
+    (:class:`~repro.leo.fleet.FleetScheduler`), so a trajectory can
+    never change under a scheduler's cached slots.
     """
 
     def position_at(self, t: float) -> GeoPoint:  # pragma: no cover

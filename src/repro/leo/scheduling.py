@@ -1,4 +1,4 @@
-"""Serving-satellite selection and handover.
+"""Serving-satellite selection primitives and handover records.
 
 Starlink reallocates the serving satellite on a fixed 15-second cycle.
 Within a slot the dish tracks one satellite, so path length (and hence
@@ -11,22 +11,21 @@ greedy: the real scheduler balances load across cells, which shows up
 to a single user as *not always* getting the highest-elevation
 satellite. Randomness is seeded per slot, so a snapshot for a given
 time is reproducible no matter the query order.
+
+The scheduler itself is :class:`repro.leo.fleet.FleetScheduler` (the
+single dish is a fleet of one); this module holds the slot grid, the
+per-slot path record and the gateway-selection and outage-index
+helpers it is built from.
 """
 
 from __future__ import annotations
 
-import random
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.rng import make_rng
-from repro.errors import ConfigurationError
-from repro.leo.constellation import Constellation
-from repro.leo.geometry import (azimuth_angle, elevation_angle,
-                                slant_range, unit_up)
-from repro.leo.ground import GroundStation, UserTerminal
+from repro.leo.geometry import elevation_angle, slant_range
+from repro.leo.ground import GroundStation
 from repro.units import SPEED_OF_LIGHT
 
 #: Reallocation period of the Starlink scheduler, seconds.
@@ -125,45 +124,6 @@ class HandoverEvent:
     kinds: frozenset[str]
 
 
-def scan_handover_events(snapshot_fn, slot_of, start: float,
-                         end: float) -> list[HandoverEvent]:
-    """All path-change boundaries in ``[start, end)``.
-
-    Shared by the scalar scheduler and the fleet terminal view so
-    both report identical events. ``snapshot_fn`` may raise
-    :class:`ConfigurationError` for unservable slots; those become
-    ``service`` transitions rather than propagating.
-    """
-    def state_at(t: float):
-        try:
-            snap = snapshot_fn(t)
-        except ConfigurationError:
-            return None
-        return (snap.sat_index, snap.gateway.name, snap.pop)
-
-    events: list[HandoverEvent] = []
-    previous = state_at(start)
-    slot = slot_of(start) + 1
-    while slot * SLOT_DURATION < end:
-        t = slot * SLOT_DURATION
-        current = state_at(t)
-        if current != previous:
-            kinds = set()
-            if (current is None) != (previous is None):
-                kinds.add("service")
-            if current is not None and previous is not None:
-                if current[0] != previous[0]:
-                    kinds.add("satellite")
-                if current[1] != previous[1]:
-                    kinds.add("gateway")
-                if current[2] != previous[2]:
-                    kinds.add("pop")
-            events.append(HandoverEvent(t=t, kinds=frozenset(kinds)))
-            previous = current
-        slot += 1
-    return events
-
-
 @dataclass(frozen=True)
 class PathSnapshot:
     """The bent-pipe path in force during one scheduler slot."""
@@ -184,311 +144,3 @@ class PathSnapshot:
     def pop(self) -> str:
         """Name of the PoP this path exits at."""
         return self.gateway.pop
-
-
-class SatelliteScheduler:
-    """Chooses the serving satellite and gateway per 15 s slot."""
-
-    #: Bound on distinct slots the snapshot cache retains; beyond it
-    #: the least-recently-used slot is evicted (a wholesale clear
-    #: would make a long campaign's periodic revisits recompute the
-    #: whole working set).
-    snapshot_cache_slots = 10_000
-
-    #: Bound on distinct slots the mobile terminal-state memo holds
-    #: (ECEF + up per slot); evicted LRU like the snapshot cache.
-    terminal_state_cache_slots = 10_000
-
-    def __init__(self, constellation: Constellation,
-                 terminal: UserTerminal,
-                 gateways: list[GroundStation],
-                 seed: int = 0,
-                 candidate_pool: int = 4,
-                 trajectory=None,
-                 obstruction=None):
-        if not gateways:
-            raise ConfigurationError("at least one gateway is required")
-        self.constellation = constellation
-        self.terminal = terminal
-        self.gateways = list(gateways)
-        self.seed = seed
-        self.candidate_pool = candidate_pool
-        self._ut_ecef = terminal.ecef()
-        self._gw_ecef = np.array([gw.ecef() for gw in self.gateways])
-        # Unit up-vectors, precomputed once per ground site and passed
-        # back through elevation_angle(up=...): same bytes, one norm
-        # per site instead of one per call on the hot path.
-        self._ut_up = unit_up(self._ut_ecef)
-        self._gw_ups = [unit_up(gw) for gw in self._gw_ecef]
-        self._cache: OrderedDict[
-            int, PathSnapshot | ConfigurationError] = OrderedDict()
-        # Mobility state. ``mobility_epoch`` is the position analogue
-        # of ``version``: every cache entry derived from the terminal
-        # position is stamped with it, and set_trajectory() bumping it
-        # makes stale reuse an assertion failure rather than silently
-        # wrong geometry. ``_armed_*`` mirror the public attributes so
-        # direct assignment (bypassing set_trajectory) trips the guard.
-        self.mobility_epoch = 0
-        self.trajectory = None
-        self.obstruction = None
-        self._armed_trajectory = None
-        self._armed_obstruction = None
-        self._mobile = False
-        self._ut_state_cache: OrderedDict[
-            int, tuple[int, np.ndarray, np.ndarray]] = OrderedDict()
-        #: Injected satellite outages: (sat_index, start_slot, end_slot).
-        self._outages: list[tuple[int, int, int]] = []
-        #: Injected gateway outages: (gw_index, start_slot, end_slot).
-        self._gateway_outages: list[tuple[int, int, int]] = []
-        # Interval indices over the outage windows (slot -> frozenset
-        # of out identifiers), rebuilt lazily whenever ``version``
-        # moves; None means "too large to materialise, scan instead".
-        self._out_index: dict[int, frozenset[int]] | None = {}
-        self._gw_out_index: dict[int, frozenset[int]] | None = {}
-        self._index_version = 0
-        #: Bumped whenever snapshots may change retroactively (outage
-        #: injection); downstream per-slot caches key on it to
-        #: invalidate without subscribing to individual slots.
-        self.version = 0
-        if trajectory is not None or obstruction is not None:
-            self.set_trajectory(trajectory, obstruction)
-
-    def set_trajectory(self, trajectory, obstruction=None) -> None:
-        """Arm (or clear) the terminal's trajectory and obstruction.
-
-        The only supported way to change terminal motion: it bumps
-        both ``version`` (so downstream per-slot delay caches drop
-        their entries) and ``mobility_epoch`` (so every memoised
-        terminal position is provably from the current trajectory),
-        and clears the snapshot cache. Assigning ``self.trajectory``
-        directly leaves the armed copy behind and trips the stale-
-        geometry assertion on the next snapshot.
-        """
-        if trajectory is not None and trajectory.is_stationary:
-            # A provably-fixed trajectory collapses to the classic
-            # fast path: position evaluated once, same float pipeline
-            # as a fixed UserTerminal at that location.
-            self._ut_ecef = trajectory.position_at(0.0).to_ecef()
-            self._ut_up = unit_up(self._ut_ecef)
-        self.trajectory = trajectory
-        self.obstruction = obstruction
-        self._armed_trajectory = trajectory
-        self._armed_obstruction = obstruction
-        self._mobile = (trajectory is not None
-                        and not trajectory.is_stationary)
-        self.mobility_epoch += 1
-        self.version += 1
-        self._cache.clear()
-        self._ut_state_cache.clear()
-
-    def _terminal_state(self, slot: int
-                        ) -> tuple[np.ndarray, np.ndarray]:
-        """``(ecef, unit_up)`` of the terminal during ``slot``.
-
-        The stationary fast path returns the vectors precomputed at
-        construction — byte-identical to the pre-mobility scheduler.
-        Mobile terminals memoise per slot, entries stamped with
-        ``mobility_epoch`` and asserted fresh on every read.
-        """
-        if not self._mobile:
-            return self._ut_ecef, self._ut_up
-        entry = self._ut_state_cache.get(slot)
-        if entry is not None and entry[0] != self.mobility_epoch:
-            raise AssertionError(
-                f"stale terminal-state cache: slot {slot} entry from "
-                f"mobility epoch {entry[0]}, scheduler at "
-                f"{self.mobility_epoch}")
-        if entry is None:
-            pos = self.trajectory.position_at(slot * SLOT_DURATION)
-            ecef = pos.to_ecef()
-            entry = (self.mobility_epoch, ecef, unit_up(ecef))
-            self._ut_state_cache[slot] = entry
-            while (len(self._ut_state_cache)
-                   > self.terminal_state_cache_slots):
-                self._ut_state_cache.popitem(last=False)
-        else:
-            self._ut_state_cache.move_to_end(slot)
-        return entry[1], entry[2]
-
-    def slot_of(self, t: float) -> int:
-        """Scheduler slot index containing time ``t``."""
-        return int(t // SLOT_DURATION)
-
-    def snapshot(self, t: float) -> PathSnapshot:
-        """The path in force at time ``t`` (cached per slot, LRU).
-
-        Unservable slots (no visible satellite/gateway pair — sparse
-        constellation, injected outages, or a full-sky obstruction)
-        raise :class:`ConfigurationError`; the error is cached like a
-        snapshot so a drive-through outage costs one geometry scan
-        per slot, not one per packet.
-        """
-        if (self.trajectory is not self._armed_trajectory
-                or self.obstruction is not self._armed_obstruction):
-            raise AssertionError(
-                "trajectory/obstruction replaced without "
-                "set_trajectory(); position caches may be stale")
-        slot = self.slot_of(t)
-        cached = self._cache.get(slot)
-        if cached is None:
-            try:
-                cached = self._compute_slot(slot)
-            except ConfigurationError as exc:
-                cached = exc
-            self._cache[slot] = cached
-            while len(self._cache) > self.snapshot_cache_slots:
-                self._cache.popitem(last=False)
-        else:
-            self._cache.move_to_end(slot)
-        if isinstance(cached, ConfigurationError):
-            raise cached
-        return cached
-
-    def add_outage(self, sat_index: int, start_slot: int,
-                   end_slot: int) -> None:
-        """Take ``sat_index`` out of service for ``[start_slot, end_slot)``.
-
-        Fault-injection hook (:mod:`repro.testing.faults`): an out
-        satellite is skipped during candidate selection, forcing a
-        handover at the outage boundary exactly as a failed bird
-        would. Cached snapshots inside the window are recomputed.
-        """
-        if end_slot <= start_slot:
-            raise ConfigurationError(
-                f"outage window is empty: [{start_slot}, {end_slot})")
-        self._outages.append((sat_index, start_slot, end_slot))
-        self.version += 1
-        for slot in range(start_slot, end_slot):
-            self._cache.pop(slot, None)
-
-    def add_gateway_outage(self, gateway_name: str, start_slot: int,
-                           end_slot: int) -> None:
-        """Take a gateway out of service for ``[start_slot, end_slot)``.
-
-        Maintenance / weather hook (:mod:`repro.disrupt`): an out
-        gateway is excluded from per-slot gateway selection, so paths
-        re-plan through the remaining gateways — possibly moving the
-        exit PoP, exactly as the paper's traceroutes would observe.
-        Cached snapshots inside the window are recomputed.
-        """
-        names = [gw.name for gw in self.gateways]
-        if gateway_name not in names:
-            raise ConfigurationError(
-                f"unknown gateway {gateway_name!r}; have {names}")
-        if end_slot <= start_slot:
-            raise ConfigurationError(
-                f"gateway outage window is empty: "
-                f"[{start_slot}, {end_slot})")
-        self._gateway_outages.append(
-            (names.index(gateway_name), start_slot, end_slot))
-        self.version += 1
-        for slot in range(start_slot, end_slot):
-            self._cache.pop(slot, None)
-
-    def _refresh_outage_index(self) -> None:
-        if self._index_version == self.version:
-            return
-        self._out_index = build_outage_index(self._outages)
-        self._gw_out_index = build_outage_index(self._gateway_outages)
-        self._index_version = self.version
-
-    def out_sats_at(self, slot: int) -> frozenset[int]:
-        """Satellite indices out of service during ``slot``."""
-        self._refresh_outage_index()
-        if self._out_index is None:
-            return frozenset(
-                sat for sat, start, end in self._outages
-                if start <= slot < end)
-        return self._out_index.get(slot, _NO_OUTAGES)
-
-    def out_gateways_at(self, slot: int) -> frozenset[int]:
-        """Gateway indices out of service during ``slot``."""
-        self._refresh_outage_index()
-        if self._gw_out_index is None:
-            return frozenset(
-                gw for gw, start, end in self._gateway_outages
-                if start <= slot < end)
-        return self._gw_out_index.get(slot, _NO_OUTAGES)
-
-    def _is_out(self, sat_index: int, slot: int) -> bool:
-        return sat_index in self.out_sats_at(slot)
-
-    def _gw_is_out(self, gw_index: int, slot: int) -> bool:
-        return gw_index in self.out_gateways_at(slot)
-
-    def _compute_slot(self, slot: int) -> PathSnapshot:
-        t = slot * SLOT_DURATION
-        ut_ecef, ut_up = self._terminal_state(slot)
-        mask = (self.obstruction.mask_at(slot)
-                if self.obstruction is not None else None)
-        if mask is not None and mask.full_sky:
-            raise ConfigurationError(
-                f"sky fully obstructed at {self.terminal.name} at "
-                f"t={t} (overpass/tunnel slot)")
-        indices, elevations, ranges = self.constellation.visible_from(
-            ut_ecef, t, up=ut_up)
-        if indices.size == 0:
-            raise ConfigurationError(
-                f"no satellite visible from {self.terminal.name} at t={t}; "
-                "constellation too sparse for this latitude")
-        positions = self.constellation.positions(t)
-        out_sats = (self.out_sats_at(slot) if self._outages
-                    else _NO_OUTAGES)
-        candidates = []
-        for idx, elev, rng_m in zip(indices, elevations, ranges):
-            if int(idx) in out_sats:
-                continue
-            if mask is not None and mask.blocks(
-                    azimuth_angle(ut_ecef, positions[idx], up=ut_up),
-                    float(elev)):
-                continue
-            gw_choice = self._best_gateway(positions[idx], slot)
-            if gw_choice is None:
-                continue
-            gw_pos_idx, gw_range = gw_choice
-            candidates.append((int(idx), float(elev), float(rng_m),
-                               gw_pos_idx, gw_range))
-            if len(candidates) >= self.candidate_pool:
-                break
-        if not candidates:
-            if mask is not None:
-                raise ConfigurationError(
-                    f"all visible satellites obstructed at t={t}")
-            raise ConfigurationError(
-                f"no visible satellite sees a gateway at t={t}")
-        rng = make_rng((self.seed, slot))
-        sat_idx, elev, ut_range, gw_idx, gw_range = rng.choice(candidates)
-        return PathSnapshot(
-            slot=slot, sat_index=sat_idx, gateway=self.gateways[gw_idx],
-            ut_range_m=ut_range, gw_range_m=gw_range, elevation_deg=elev)
-
-    def _best_gateway(self, sat_pos: np.ndarray, slot: int | None = None
-                      ) -> tuple[int, float] | None:
-        """Closest in-service gateway this satellite can serve."""
-        elevations, ranges = gateway_geometry(
-            self._gw_ecef, self._gw_ups, sat_pos)
-        out = (self.out_gateways_at(slot)
-               if self._gateway_outages and slot is not None
-               else _NO_OUTAGES)
-        return select_gateway(elevations, ranges, out)
-
-    def handover_events(self, start: float,
-                        end: float) -> list[HandoverEvent]:
-        """Every path-change boundary in ``[start, end)`` with kinds.
-
-        Unlike the pre-fix ``handover_times``, gateway and PoP
-        switches that leave the satellite unchanged are reported too
-        — they step the latency floor just like satellite handovers.
-        """
-        return scan_handover_events(self.snapshot, self.slot_of,
-                                    start, end)
-
-    def handover_times(self, start: float, end: float) -> list[float]:
-        """Slot boundaries where the serving path changes.
-
-        Reports every change kind (satellite, gateway, PoP, service),
-        not just satellite switches — a gateway swap under an
-        unchanged satellite still moves the latency floor.
-        """
-        return [event.t
-                for event in self.handover_events(start, end)]

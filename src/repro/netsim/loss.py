@@ -14,6 +14,7 @@ experiments are reproducible.
 from __future__ import annotations
 
 import random
+from math import log
 from typing import Protocol as TypingProtocol
 
 from repro.errors import ConfigurationError
@@ -134,11 +135,29 @@ class TimedGilbertElliottLoss:
         return self.mean_bad_s / (self.mean_good_s + self.mean_bad_s)
 
     def _advance(self, now: float) -> None:
-        while now >= self._state_until:
-            self._in_bad_state = not self._in_bad_state
-            mean = (self.mean_bad_s if self._in_bad_state
-                    else self.mean_good_s)
-            self._state_until += self._rng.expovariate(1.0 / mean)
+        until = self._state_until
+        if now < until:
+            return
+        # The first packet of an experiment can sit months into the
+        # campaign, so this walks a long chain of sojourns. The draw
+        # is random.expovariate(1/mean) inlined: the same floats from
+        # the same stream, without a method call per sojourn.
+        draw = self._rng.random
+        good_rate = 1.0 / self.mean_good_s
+        bad_rate = 1.0 / self.mean_bad_s
+        bad = self._in_bad_state
+        if bad:
+            bad = False
+            until += -log(1.0 - draw()) / good_rate
+        # One good -> bad -> good cycle per iteration.
+        while now >= until:
+            until += -log(1.0 - draw()) / bad_rate
+            if now < until:
+                bad = True
+                break
+            until += -log(1.0 - draw()) / good_rate
+        self._in_bad_state = bad
+        self._state_until = until
 
     def is_lost(self, now: float) -> bool:
         self._advance(now)

@@ -1,9 +1,11 @@
-"""Deterministic fault injection for netsim and leo.scheduling.
+"""Deterministic fault injection for netsim and the LEO scheduler.
 
 A :class:`FaultPlan` is a seeded recipe of faults -- link flaps,
 satellite outages at 15 s reallocation boundaries, queue-overflow
 storms, event-cancellation races -- built up with the ``inject_*``
-methods (or :meth:`randomize`) and applied with :meth:`arm`. All
+methods (or :meth:`randomize`) and applied with :meth:`arm` (satellite
+outages are scheduler inputs: :meth:`with_outages` builds the
+scheduler that carries them). All
 randomness flows through :func:`repro.rng.make_rng`, so a plan with a
 given seed injects the exact same faults on every run; robustness of
 the transport and campaign layers is exercised on purpose rather than
@@ -61,6 +63,8 @@ class FaultPlan:
         self.seed = seed
         self.rng = make_rng(("fault-plan", seed))
         self.log: list[InjectedFault] = []
+        #: Injected satellite outages: (sat_index, start, end slot).
+        self.satellite_outages: list[tuple[int, int, int]] = []
         self._arm_fns: list = []
         self._cancelled_fired = 0
         self._races_armed = 0
@@ -93,24 +97,27 @@ class FaultPlan:
 
     def inject_satellite_outage(self, scheduler, at: float,
                                 slots: int = 2) -> "FaultPlan":
-        """Fail the satellite serving at ``at`` from the next
-        reallocation boundary, for ``slots`` scheduler slots.
+        """Fail the satellite serving the scheduler's first terminal at
+        ``at`` from the next reallocation boundary, for ``slots``
+        scheduler slots.
 
         Starting at the boundary (not mid-slot) matches how the real
         scheduler reacts: the 15 s allocation in force is never
         revoked, the *next* allocation simply avoids the failed bird.
+        Schedulers are immutable, so the outage is recorded here and
+        :meth:`with_outages` builds the scheduler that carries it.
         """
         slot = scheduler.slot_of(at)
-        sat = scheduler.snapshot(at).sat_index
-
-        def arm(sim: Simulator) -> None:
-            scheduler.add_outage(sat, slot + 1, slot + 1 + slots)
-
-        self._arm_fns.append(arm)
+        sat = scheduler.snapshot_at(0, at).sat_index
+        self.satellite_outages.append((sat, slot + 1, slot + 1 + slots))
         self.log.append(InjectedFault(
             "satellite-outage", (slot + 1) * 15.0,
             f"sat {sat} out for {slots} slot(s)"))
         return self
+
+    def with_outages(self, scheduler):
+        """``scheduler`` with every injected satellite outage."""
+        return scheduler.with_outages(outages=self.satellite_outages)
 
     def inject_queue_storm(self, pipe: Pipe, at: float,
                            packets: int = 80,
@@ -177,7 +184,8 @@ class FaultPlan:
         """Add ``n_faults`` seeded-random faults in ``[start, start+horizon)``.
 
         Satellite outages are only drawn when a ``scheduler`` is
-        supplied; everything else targets the given pipes.
+        supplied (apply them with :meth:`with_outages`); everything
+        else targets the given pipes.
         """
         if not pipes:
             raise ConfigurationError("randomize needs at least one pipe")

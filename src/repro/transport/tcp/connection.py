@@ -17,6 +17,7 @@ payload. Fidelity choices match the paper's hosts (Linux 5.x):
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
@@ -114,6 +115,10 @@ class _Segment:
     @property
     def seq_end(self) -> int:
         return self.seq + self.span
+
+
+def _segment_seq(segment: _Segment) -> int:
+    return segment.seq
 
 
 class TcpConnection:
@@ -500,14 +505,19 @@ class TcpConnection:
             return
         self._highest_sacked = max(self._highest_sacked,
                                    max(end for _, end in sacks))
-        for segment in self._segments:
-            if segment.sacked:
-                continue
-            for start, end in sacks:
-                if start <= segment.seq and segment.seq + \
-                        segment.length <= end:
-                    segment.sacked = True
+        # Segments are contiguous and ordered by seq, so the ones a
+        # block covers whole are the run that starts at the first
+        # segment at or after the block's start.
+        segments = self._segments
+        count = len(segments)
+        for start, end in sacks:
+            i = bisect_left(segments, start, key=_segment_seq)
+            while i < count:
+                segment = segments[i]
+                if segment.seq + segment.length > end:
                     break
+                segment.sacked = True
+                i += 1
 
     def _enter_recovery(self, now: float) -> None:
         self._in_recovery = True

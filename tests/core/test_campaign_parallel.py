@@ -38,10 +38,16 @@ def tiny_config(seed: int = 0) -> CampaignConfig:
         web_sites=3, web_visits_per_site=1)
 
 
-def test_parallel_run_all_is_bit_identical_to_serial():
-    serial = Campaign(tiny_config(seed=0)).run_all(workers=1)
+@pytest.fixture(scope="module")
+def serial_digest() -> str:
+    """Digest of the serial seed-0 campaign, the reference of both
+    whole-campaign equivalence tests (run once per module)."""
+    return digest_dataset(Campaign(tiny_config(seed=0)).run_all(workers=1))
+
+
+def test_parallel_run_all_is_bit_identical_to_serial(serial_digest):
     parallel = Campaign(tiny_config(seed=0)).run_all(workers=4)
-    assert digest_dataset(serial) == digest_dataset(parallel)
+    assert digest_dataset(parallel) == serial_digest
 
 
 def test_parallel_pings_match_serial_per_anchor():
@@ -107,11 +113,10 @@ def test_default_workers_is_positive():
     assert default_workers() >= 1
 
 
-def test_sharded_run_all_is_bit_identical_to_serial():
-    serial = Campaign(tiny_config(seed=0)).run_all(workers=1)
+def test_sharded_run_all_is_bit_identical_to_serial(serial_digest):
     sharded = Campaign(tiny_config(seed=0)).run_all(workers=4,
                                                     granularity=4)
-    assert digest_dataset(serial) == digest_dataset(sharded)
+    assert digest_dataset(sharded) == serial_digest
 
 
 def test_config_granularity_is_the_default():

@@ -81,6 +81,19 @@ def test_fleet_respects_scenario_outages():
     assert digest_value(data) != digest_value(clear)
 
 
+def test_experiment_gateway_outages_stay_out_of_the_shared_fleet():
+    """A speed test's own gateway maintenance window (gateway_flap's
+    overlay) applies to that experiment only. Were it installed on
+    the fleet every terminal shares, later terminals' pings would
+    depend on which speed tests ran before them in the same process,
+    and the sharded run would diverge from the serial one."""
+    cfg = _fleet_config(terminals=2, st_epochs=1)
+    cfg.scenario = "gateway_flap"
+    serial = Campaign(cfg).run_fleet()
+    sharded = Campaign(cfg).run_fleet(workers=2, granularity=3)
+    assert digest_value(sharded) == digest_value(serial)
+
+
 def test_classic_datasets_unchanged_by_fleet_knobs():
     """Turning fleet mode on must not move a single classic byte."""
     base = quick_config(seed=4)

@@ -7,8 +7,10 @@ from repro.disrupt.apply import (
     ScheduledExtraLoss,
     apply_to_access,
     apply_to_scheduler,
+    gateway_outage_slots,
 )
 from repro.disrupt.schedule import DisruptionSchedule, DisruptionWindow
+from repro.errors import ConfigurationError
 from repro.leo.access import StarlinkAccess
 from repro.leo.geometry import GeoPoint
 from repro.netsim.loss import CompositeLoss
@@ -97,10 +99,35 @@ def test_route_blackout_blackholes_the_pop_then_restores():
 def test_gateway_outage_replans_the_exit_gateway():
     access = StarlinkAccess(seed=5)
     scheduler = access.path_model.scheduler
-    in_force = scheduler.snapshot(100.0).gateway.name
-    version = scheduler.version
+    in_force = scheduler.snapshot_at(0, 100.0).gateway.name
     schedule = DisruptionSchedule("maint", (
         DisruptionWindow("gateway_out", 90.0, 120.0, target=in_force),))
-    apply_to_scheduler(scheduler, schedule)
-    assert scheduler.version > version
-    assert scheduler.snapshot(100.0).gateway.name != in_force
+    scheduler = apply_to_scheduler(scheduler, schedule)
+    assert scheduler.snapshot_at(0, 100.0).gateway.name != in_force
+
+
+def test_apply_to_scheduler_without_gateway_windows_is_identity():
+    scheduler = StarlinkAccess(seed=5).path_model.scheduler
+    fade = DisruptionSchedule("fade", (
+        DisruptionWindow("fade", 0.0, 10.0, severity=0.5),))
+    assert apply_to_scheduler(scheduler, fade) is scheduler
+
+
+def test_access_takes_gateway_windows_at_construction():
+    gateway = StarlinkAccess(seed=5).path_model.snapshot(100.0).gateway
+    schedule = DisruptionSchedule("maint", (
+        DisruptionWindow("gateway_out", 90.0, 120.0,
+                         target=gateway.name),))
+    assert gateway_outage_slots(schedule) == ((gateway.name, 6, 8),)
+    access = StarlinkAccess(
+        seed=5, gateway_outages=gateway_outage_slots(schedule))
+    apply_to_access(access, schedule)
+    assert access.path_model.snapshot(100.0).gateway != gateway
+
+
+def test_apply_to_access_rejects_gateway_windows_it_cannot_install():
+    schedule = DisruptionSchedule("maint", (
+        DisruptionWindow("gateway_out", 90.0, 120.0,
+                         target="gw-gravelines-fr"),))
+    with pytest.raises(ConfigurationError, match="gateway_outages"):
+        apply_to_access(StarlinkAccess(seed=5), schedule)

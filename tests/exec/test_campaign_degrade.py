@@ -7,6 +7,8 @@ from degraded datasets states its unit coverage instead of silently
 looking complete.
 """
 
+import pytest
+
 from repro.core.campaign import Campaign, CampaignConfig
 from repro.core.reporting import (
     coverage_note,
@@ -38,14 +40,22 @@ def _sabotage(campaign: Campaign, state_dir, ping_label, web_label):
         web_units(), state_dir / "web", {web_label: spec})
 
 
-def test_run_all_degrades_to_partial_datasets(tmp_path):
+@pytest.fixture(scope="module")
+def degraded(tmp_path_factory):
+    """One degrade-policy campaign with a ping and a web unit
+    sabotaged: ``(data, report, ping_label, web_label)``, shared by
+    the tests that inspect its outcome (run once per module)."""
     campaign = Campaign(tiny_config())
     ping_label = campaign.ping_units()[3].label
     web_label = campaign.web_units()[0].label
-    _sabotage(campaign, tmp_path, ping_label, web_label)
-
+    _sabotage(campaign, tmp_path_factory.mktemp("chaos"), ping_label,
+              web_label)
     data = campaign.run_all(failure_policy="degrade")
-    report = campaign.degradation_report()
+    return data, campaign.degradation_report(), ping_label, web_label
+
+
+def test_run_all_degrades_to_partial_datasets(degraded):
+    data, report, ping_label, web_label = degraded
 
     assert report.degraded
     assert report.total_units == 11 + 4 + 4 + 2 + 3
@@ -68,13 +78,8 @@ def test_run_all_degrades_to_partial_datasets(tmp_path):
     assert "Table 1" in render_table1(data.table1_rows())
 
 
-def test_degradation_rendering_names_the_lost_units(tmp_path):
-    campaign = Campaign(tiny_config())
-    ping_label = campaign.ping_units()[3].label
-    web_label = campaign.web_units()[0].label
-    _sabotage(campaign, tmp_path, ping_label, web_label)
-    campaign.run_all(failure_policy="degrade")
-    report = campaign.degradation_report()
+def test_degradation_rendering_names_the_lost_units(degraded):
+    _, report, ping_label, web_label = degraded
 
     text = render_degradation(report)
     assert "Degradation report: 22/24 work units completed." in text

@@ -141,21 +141,27 @@ def test_ping_units_shard_digest_invariant(granularity):
 # -- real campaign units, serial and pool -----------------------------------
 
 
-def test_micro_campaign_sharded_serial_is_digest_identical():
+@pytest.fixture(scope="module")
+def micro_reference() -> str:
+    """Digest of the unsharded serial run of ``micro_units(seed=3)``,
+    the reference of both micro-campaign tests (run once per module)."""
+    return digest_value(execute_units(micro_units(seed=3), workers=1))
+
+
+def test_micro_campaign_sharded_serial_is_digest_identical(
+        micro_reference):
     units = micro_units(seed=3)
-    reference = digest_value(execute_units(units, workers=1))
     for granularity in (2, 5):
         sharded = execute_units(units, workers=1,
                                 granularity=granularity)
-        assert digest_value(sharded) == reference, \
+        assert digest_value(sharded) == micro_reference, \
             f"granularity={granularity} diverged from serial"
 
 
-def test_micro_campaign_sharded_pool_is_digest_identical():
+def test_micro_campaign_sharded_pool_is_digest_identical(micro_reference):
     units = micro_units(seed=3)
-    reference = digest_value(execute_units(units, workers=1))
     sharded = execute_units(units, workers=3, granularity=4)
-    assert digest_value(sharded) == reference
+    assert digest_value(sharded) == micro_reference
 
 
 def test_unit_timings_stay_per_unit_and_shards_are_labelled():

@@ -9,7 +9,6 @@ from repro.leo.constellation import Constellation
 from repro.leo.fleet import (
     FleetScheduler,
     FleetSpec,
-    FleetTerminalView,
     build_fleet_terminals,
     fleet_seeds,
 )
@@ -102,32 +101,36 @@ def test_position_cache_lru_and_counters():
 
 
 def test_outage_injection_invalidates_cached_slots():
+    """Outages derive a new scheduler; the cached slots of the old
+    one stay valid for the old inputs."""
     fleet = _fleet(terminals=2)
     first = fleet.snapshot_at(0, 0.0)
-    fleet.add_outage(first.sat_index, 0, 1)
-    after = fleet.snapshot_at(0, 0.0)
+    outaged = fleet.with_outages(outages=[(first.sat_index, 0, 1)])
+    after = outaged.snapshot_at(0, 0.0)
     assert after.sat_index != first.sat_index
-    assert fleet.version == 1
+    assert fleet.snapshot_at(0, 0.0) is first
+    assert outaged.constellation is fleet.constellation
+    assert outaged.seeds == fleet.seeds
 
 
 def test_outage_window_validation():
     fleet = _fleet(terminals=1)
     with pytest.raises(ConfigurationError):
-        fleet.add_outage(5, 3, 3)
+        fleet.with_outages(outages=[(5, 3, 3)])
     with pytest.raises(ConfigurationError):
-        fleet.add_gateway_outage("nope", 0, 2)
+        fleet.with_outages(gateway_outages=[("nope", 0, 2)])
     with pytest.raises(ConfigurationError):
-        fleet.add_gateway_outage(STARLINK_GATEWAYS[0].name, 4, 2)
+        fleet.with_outages(
+            gateway_outages=[(STARLINK_GATEWAYS[0].name, 4, 2)])
 
 
 def test_out_sets_match_linear_scan():
-    fleet = _fleet(terminals=1)
-    fleet.add_outage(10, 2, 5)
-    fleet.add_outage(11, 4, 6)
-    fleet.add_gateway_outage(STARLINK_GATEWAYS[0].name, 3, 4)
+    fleet = _fleet(terminals=1).with_outages(
+        outages=[(10, 2, 5), (11, 4, 6)],
+        gateway_outages=[(STARLINK_GATEWAYS[0].name, 3, 4)])
     for slot in range(8):
         expected = frozenset(
-            sat for sat, start, end in fleet._outages
+            sat for sat, start, end in fleet.outages
             if start <= slot < end)
         assert fleet.out_sats_at(slot) == expected
     assert fleet.out_gateways_at(3) == frozenset({0})
@@ -154,24 +157,24 @@ def test_snapshots_returns_one_entry_per_terminal():
     assert all(s is not None for s in snaps)
 
 
-# -- the scheduler-shaped view ----------------------------------------
+# -- the per-terminal view: a path model on a fleet ------------------
 
 
 def test_view_index_validation():
     fleet = _fleet(terminals=2)
     with pytest.raises(ConfigurationError):
-        FleetTerminalView(fleet, 2)
+        StarlinkPathModel(scheduler=fleet, index=2)
 
 
 def test_view_delegates_to_fleet():
     fleet = _fleet(terminals=3)
-    view = FleetTerminalView(fleet, 1)
+    view = StarlinkPathModel(seed=fleet.seeds[1], scheduler=fleet,
+                             index=1)
     assert view.terminal is fleet.terminals[1]
-    assert view.seed == fleet.seeds[1]
+    assert view.constellation is fleet.constellation
     assert view.snapshot(0.0) == fleet.snapshot_at(1, 0.0)
-    assert view.slot_of(31.0) == 2
-    view.add_outage(700, 0, 2)
-    assert view.version == fleet.version == 1
+    assert view.pop_name(0.0) == fleet.snapshot_at(1, 0.0).pop
+    assert not view.mobility_armed
 
 
 def test_path_model_with_injected_view_matches_classic():
@@ -181,8 +184,7 @@ def test_path_model_with_injected_view_matches_classic():
     seed = 5
     fleet = FleetScheduler(Constellation(), [terminal],
                            STARLINK_GATEWAYS, seeds=[seed])
-    injected = StarlinkPathModel(
-        seed=seed, scheduler=FleetTerminalView(fleet, 0))
+    injected = StarlinkPathModel(seed=seed, scheduler=fleet)
     classic = StarlinkPathModel(terminal=terminal, seed=seed)
     assert injected.terminal is terminal
     rng_a = make_rng((seed, "probe"))
@@ -194,16 +196,17 @@ def test_path_model_with_injected_view_matches_classic():
 
 
 def test_view_handover_times_match_scalar():
-    from repro.leo.scheduling import SatelliteScheduler
+    from tests.leo.oracle import SatelliteScheduler
 
     terminal = default_terminal()
     fleet = FleetScheduler(Constellation(), [terminal],
                            STARLINK_GATEWAYS, seeds=[9])
-    scalar = SatelliteScheduler(Constellation(), terminal,
+    oracle = SatelliteScheduler(Constellation(), terminal,
                                 STARLINK_GATEWAYS, seed=9)
-    view = FleetTerminalView(fleet, 0)
-    assert view.handover_times(0.0, 600.0) == \
-        scalar.handover_times(0.0, 600.0)
+    assert fleet.handover_times(0, 0.0, 600.0) == \
+        oracle.handover_times(0.0, 600.0)
+    assert fleet.handover_events(0, 0.0, 600.0) == \
+        oracle.handover_events(0.0, 600.0)
 
 
 def test_prefilter_counters_accumulate():

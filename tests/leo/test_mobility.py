@@ -31,23 +31,23 @@ from repro.leo.mobility import (
     build_trajectory,
     drive_trajectory,
 )
-from repro.leo.scheduling import (
-    HANDOVER_KINDS,
-    SLOT_DURATION,
-    SatelliteScheduler,
-)
+from repro.leo.fleet import FleetScheduler
+from repro.leo.scheduling import HANDOVER_KINDS, SLOT_DURATION
 from repro.testing.digest import digest_value
 
 
-def make_scheduler(seed=3, **kwargs):
-    return SatelliteScheduler(Constellation(), default_terminal(),
-                              STARLINK_GATEWAYS, seed=seed, **kwargs)
+def make_scheduler(seed=3, trajectory=None, obstruction=None):
+    """A single dish (a fleet of one) with fixed mobility inputs."""
+    return FleetScheduler(Constellation(), [default_terminal()],
+                          STARLINK_GATEWAYS, seeds=[seed],
+                          trajectories=[trajectory],
+                          obstructions=[obstruction])
 
 
 def snapshot_digest(scheduler, slots=120):
     picks = []
     for k in range(slots):
-        snap = scheduler.snapshot(k * SLOT_DURATION)
+        snap = scheduler.snapshot_at(0, k * SLOT_DURATION)
         picks.append((snap.sat_index, snap.gateway.name, snap.pop,
                       snap.one_way_propagation, snap.elevation_deg))
     return digest_value(picks)
@@ -222,7 +222,7 @@ def test_obstruction_makes_some_slots_unservable():
     outcomes = []
     for k in range(200):
         try:
-            sched.snapshot(k * SLOT_DURATION)
+            sched.snapshot_at(0, k * SLOT_DURATION)
             outcomes.append(True)
         except ConfigurationError:
             outcomes.append(False)
@@ -233,34 +233,7 @@ def test_obstruction_makes_some_slots_unservable():
                               "implausible in 200 slots"
 
 
-# -- cache-epoch guards -------------------------------------------------
-
-def test_set_trajectory_bumps_epoch_and_version():
-    sched = make_scheduler()
-    epoch, version = sched.mobility_epoch, sched.version
-    sched.snapshot(0.0)
-    sched.set_trajectory(drive_trajectory(seed=3, speed_kmh=90.0))
-    assert sched.mobility_epoch == epoch + 1
-    assert sched.version == version + 1
-    sched.snapshot(0.0)   # recomputes under the new trajectory
-
-
-def test_direct_trajectory_assignment_trips_guard():
-    sched = make_scheduler(
-        trajectory=drive_trajectory(seed=3, speed_kmh=90.0))
-    sched.snapshot(0.0)
-    sched.trajectory = None   # bypasses set_trajectory()
-    with pytest.raises(AssertionError):
-        sched.snapshot(10 * SLOT_DURATION)
-
-
-def test_direct_obstruction_assignment_trips_guard():
-    sched = make_scheduler()
-    sched.snapshot(0.0)
-    sched.obstruction = ObstructionTrace(seed=5)
-    with pytest.raises(AssertionError):
-        sched.snapshot(10 * SLOT_DURATION)
-
+# -- moving terminals ---------------------------------------------------
 
 def test_moving_terminal_changes_selection_digest():
     classic = make_scheduler()
@@ -273,7 +246,7 @@ def test_moving_terminal_changes_selection_digest():
 
 def test_handover_events_report_all_change_kinds():
     sched = make_scheduler()
-    events = sched.handover_events(0.0, 400 * SLOT_DURATION)
+    events = sched.handover_events(0, 0.0, 400 * SLOT_DURATION)
     kinds = set()
     for event in events:
         assert event.kinds <= set(HANDOVER_KINDS)
@@ -290,15 +263,15 @@ def test_handover_times_include_gateway_only_changes():
     this boundary entirely.
     """
     sched = make_scheduler(seed=3)
-    before = sched.snapshot(67 * SLOT_DURATION)
-    after = sched.snapshot(68 * SLOT_DURATION)
+    before = sched.snapshot_at(0, 67 * SLOT_DURATION)
+    after = sched.snapshot_at(0, 68 * SLOT_DURATION)
     assert before.sat_index == after.sat_index
     assert (before.gateway.name, before.pop) \
         != (after.gateway.name, after.pop)
     t = 68 * SLOT_DURATION
-    assert t in sched.handover_times(0.0, 80 * SLOT_DURATION)
+    assert t in sched.handover_times(0, 0.0, 80 * SLOT_DURATION)
     (event,) = [e for e in
-                sched.handover_events(0.0, 80 * SLOT_DURATION)
+                sched.handover_events(0, 0.0, 80 * SLOT_DURATION)
                 if e.t == t]
     assert "satellite" not in event.kinds
     assert "gateway" in event.kinds
@@ -309,7 +282,7 @@ def test_service_transitions_reported_as_handovers():
     sched = make_scheduler(
         obstruction=ObstructionTrace(seed=5, profile="urban_canyon",
                                      obstructed_at_start=True))
-    events = sched.handover_events(0.0, 400 * SLOT_DURATION)
+    events = sched.handover_events(0, 0.0, 400 * SLOT_DURATION)
     service = [e for e in events if "service" in e.kinds]
     assert service, "an urban canyon with no service transition in " \
                     "400 slots is implausible"

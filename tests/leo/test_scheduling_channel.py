@@ -1,61 +1,66 @@
-"""Tests for the satellite scheduler and the channel processes."""
+"""Tests for the single-dish scheduler (a fleet of one) and the
+channel processes."""
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.leo.channel import CapacityProcess, StarlinkChannel
 from repro.leo.constellation import Constellation
+from repro.leo.fleet import FleetScheduler
 from repro.leo.ground import STARLINK_GATEWAYS, default_terminal
-from repro.leo.scheduling import SLOT_DURATION, SatelliteScheduler
+from repro.leo.scheduling import SLOT_DURATION
 from repro.units import mbps, ms, to_ms
+
+
+def single_dish(seed=3, **kwargs):
+    """The classic single dish: a fleet of one terminal."""
+    return FleetScheduler(Constellation(), [default_terminal()],
+                          STARLINK_GATEWAYS, seeds=[seed], **kwargs)
 
 
 @pytest.fixture(scope="module")
 def scheduler():
-    return SatelliteScheduler(Constellation(), default_terminal(),
-                              STARLINK_GATEWAYS, seed=3)
+    return single_dish(seed=3)
 
 
 def test_snapshot_stable_within_slot(scheduler):
     slot_start = 7 * SLOT_DURATION
-    snap_a = scheduler.snapshot(slot_start)
-    snap_b = scheduler.snapshot(slot_start + SLOT_DURATION - 0.01)
+    snap_a = scheduler.snapshot_at(0, slot_start)
+    snap_b = scheduler.snapshot_at(0, slot_start + SLOT_DURATION - 0.01)
     assert snap_a.sat_index == snap_b.sat_index
     assert snap_a is snap_b  # cached
 
 
 def test_snapshot_deterministic_across_instances():
-    a = SatelliteScheduler(Constellation(), default_terminal(),
-                           STARLINK_GATEWAYS, seed=3)
-    b = SatelliteScheduler(Constellation(), default_terminal(),
-                           STARLINK_GATEWAYS, seed=3)
+    a = single_dish(seed=3)
+    b = single_dish(seed=3)
     for t in (0.0, 31.0, 1000.0):
-        assert a.snapshot(t).sat_index == b.snapshot(t).sat_index
-        assert a.snapshot(t).gateway.name == b.snapshot(t).gateway.name
+        assert a.snapshot_at(0, t).sat_index == \
+            b.snapshot_at(0, t).sat_index
+        assert a.snapshot_at(0, t).gateway.name == \
+            b.snapshot_at(0, t).gateway.name
 
 
 def test_snapshot_changes_with_seed():
-    a = SatelliteScheduler(Constellation(), default_terminal(),
-                           STARLINK_GATEWAYS, seed=3)
-    b = SatelliteScheduler(Constellation(), default_terminal(),
-                           STARLINK_GATEWAYS, seed=4)
-    picks_a = [a.snapshot(t * SLOT_DURATION).sat_index
+    a = single_dish(seed=3)
+    b = single_dish(seed=4)
+    picks_a = [a.snapshot_at(0, t * SLOT_DURATION).sat_index
                for t in range(30)]
-    picks_b = [b.snapshot(t * SLOT_DURATION).sat_index
+    picks_b = [b.snapshot_at(0, t * SLOT_DURATION).sat_index
                for t in range(30)]
     assert picks_a != picks_b
 
 
 def test_propagation_delay_in_leo_band(scheduler):
     for t in (0.0, 600.0, 7200.0):
-        snap = scheduler.snapshot(t)
+        snap = scheduler.snapshot_at(0, t)
         # Bent pipe: two slant legs of 550-1300 km each.
         assert 3.0 <= to_ms(snap.one_way_propagation) <= 10.0
         assert snap.elevation_deg >= 25.0
 
 
 def test_handovers_happen(scheduler):
-    times = scheduler.handover_times(0.0, 1800.0)
+    times = scheduler.handover_times(0, 0.0, 1800.0)
     assert times, "no handover in 30 minutes is implausible"
     for t in times:
         assert t % SLOT_DURATION == pytest.approx(0.0)
@@ -63,7 +68,7 @@ def test_handovers_happen(scheduler):
 
 def test_requires_gateways():
     with pytest.raises(ConfigurationError):
-        SatelliteScheduler(Constellation(), default_terminal(), [])
+        FleetScheduler(Constellation(), [default_terminal()], [])
 
 
 # -- capacity processes -------------------------------------------------
@@ -124,28 +129,26 @@ def test_channel_loss_rate_in_band():
 
 
 def test_snapshot_cache_is_bounded_lru():
-    sched = SatelliteScheduler(Constellation(), default_terminal(),
-                               STARLINK_GATEWAYS, seed=1)
-    sched.snapshot_cache_slots = 6
+    sched = single_dish(seed=1)
+    sched.slot_cache_slots = 6
     for slot in range(20):
-        sched.snapshot(slot * SLOT_DURATION)
-    assert len(sched._cache) <= 6
+        sched.snapshot_at(0, slot * SLOT_DURATION)
+    assert len(sched._slot_cache) <= 6
     # LRU, not wholesale clear: recent slots are still cached.
-    assert 19 in sched._cache and 0 not in sched._cache
+    assert 19 in sched._slot_cache and 0 not in sched._slot_cache
 
 
 def test_outage_interval_index_matches_linear_scan():
-    sched = SatelliteScheduler(Constellation(), default_terminal(),
-                               STARLINK_GATEWAYS, seed=1)
-    sched.add_outage(7, 2, 6)
-    sched.add_outage(8, 4, 9)
-    sched.add_gateway_outage(STARLINK_GATEWAYS[1].name, 3, 5)
+    sched = single_dish(
+        seed=1, outages=[(7, 2, 6), (8, 4, 9)],
+        gateway_outages=[(STARLINK_GATEWAYS[1].name, 3, 5)])
     for slot in range(12):
         expected_sats = frozenset(
-            s for s, a, b in sched._outages if a <= slot < b)
+            s for s, a, b in sched.outages if a <= slot < b)
         assert sched.out_sats_at(slot) == expected_sats
-        assert sched._is_out(7, slot) == (2 <= slot < 6)
-    assert sched._gw_is_out(1, 3) and not sched._gw_is_out(1, 5)
+        assert (7 in sched.out_sats_at(slot)) == (2 <= slot < 6)
+    assert 1 in sched.out_gateways_at(3)
+    assert 1 not in sched.out_gateways_at(5)
 
 
 def test_pathological_outage_window_falls_back_to_scan():
@@ -156,9 +159,7 @@ def test_pathological_outage_window_falls_back_to_scan():
 
     huge = [(3, 0, MAX_INDEXED_OUTAGE_SLOTS + 1)]
     assert build_outage_index(huge) is None
-    sched = SatelliteScheduler(Constellation(), default_terminal(),
-                               STARLINK_GATEWAYS, seed=1)
-    sched.add_outage(3, 0, MAX_INDEXED_OUTAGE_SLOTS + 1)
+    sched = single_dish(seed=1, outages=huge)
     # Membership still answers correctly through the linear scan.
-    assert sched._is_out(3, 123_456)
-    assert not sched._is_out(4, 123_456)
+    assert 3 in sched.out_sats_at(123_456)
+    assert 4 not in sched.out_sats_at(123_456)

@@ -12,6 +12,7 @@ from repro.netsim.loss import (
     GilbertElliottLoss,
     NoLoss,
     OutageSchedule,
+    TimedGilbertElliottLoss,
 )
 
 
@@ -121,3 +122,43 @@ def test_property_ge_stationary_formula(p_gb, p_bg):
     rate = model.stationary_loss_rate()
     assert 0.0 <= rate <= 1.0
     assert rate == pytest.approx(p_gb / (p_gb + p_bg))
+
+
+def _sojourn_walk(seed: int, mean_good: float, mean_bad: float,
+                  times: list[float]) -> list[tuple[bool, float]]:
+    """The timed chain stepped one sojourn at a time with
+    ``random.expovariate``: the reference for the batched walk."""
+    rng = random.Random(seed)
+    bad, until = False, rng.expovariate(1.0 / mean_good)
+    states = []
+    for now in times:
+        while now >= until:
+            bad = not bad
+            until += rng.expovariate(1.0 / (mean_bad if bad
+                                            else mean_good))
+        states.append((bad, until))
+    return states
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**16),
+       mean_good=st.floats(0.5, 50.0),
+       mean_bad=st.floats(0.001, 5.0),
+       steps=st.lists(st.floats(0.0, 500.0), min_size=1, max_size=20))
+def test_property_timed_ge_walk_matches_sojourn_steps(seed, mean_good,
+                                                      mean_bad, steps):
+    """Same states, same boundaries and the same RNG stream position
+    as stepping every sojourn through ``expovariate``."""
+    times = []
+    now = 0.0
+    for step in steps:
+        now += step
+        times.append(now)
+    model = TimedGilbertElliottLoss(mean_good_s=mean_good,
+                                    mean_bad_s=mean_bad,
+                                    rng=random.Random(seed))
+    states = []
+    for now in times:
+        model._advance(now)
+        states.append((model.in_bad_state, model._state_until))
+    assert states == _sojourn_walk(seed, mean_good, mean_bad, times)

@@ -13,7 +13,7 @@ from repro.apps.outcome import OUTCOME_STATUSES
 from repro.apps.ping import ping
 from repro.core.availability import analyze_availability
 from repro.core.campaign import Campaign, CampaignConfig
-from repro.disrupt.apply import apply_to_access
+from repro.disrupt.apply import apply_to_access, gateway_outage_slots
 from repro.disrupt.scenarios import unregister_scenario
 from repro.disrupt.schedule import DisruptionSchedule
 from repro.leo.access import StarlinkAccess
@@ -52,7 +52,8 @@ def test_generator_is_deterministic_in_seed():
 def test_ping_terminates_under_any_random_schedule(seed):
     schedule = random_disruption_schedule(seed, horizon_s=30.0,
                                           max_windows=4)
-    access = StarlinkAccess(seed=seed)
+    access = StarlinkAccess(
+        seed=seed, gateway_outages=gateway_outage_slots(schedule))
     access.add_remote_host("anchor", ANCHOR, BRUSSELS)
     access.finalize()
     apply_to_access(access, schedule)

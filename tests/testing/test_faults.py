@@ -4,8 +4,9 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.leo.constellation import Constellation
+from repro.leo.fleet import FleetScheduler
 from repro.leo.ground import STARLINK_GATEWAYS, default_terminal
-from repro.leo.scheduling import SLOT_DURATION, SatelliteScheduler
+from repro.leo.scheduling import SLOT_DURATION
 from repro.netsim.engine import Simulator
 from repro.netsim.link import Pipe
 from repro.netsim.packet import Packet, Protocol
@@ -102,31 +103,37 @@ def test_assert_cancellation_clean_raises_when_victims_fire(monkeypatch):
         plan.assert_cancellation_clean()
 
 
+def _single_dish():
+    return FleetScheduler(Constellation(), [default_terminal()],
+                          STARLINK_GATEWAYS, seeds=[0])
+
+
 def test_satellite_outage_forces_handover_at_boundary():
-    scheduler = SatelliteScheduler(
-        Constellation(), default_terminal(), STARLINK_GATEWAYS, seed=0)
+    scheduler = _single_dish()
     at = 100.0
-    serving = scheduler.snapshot(at).sat_index
+    serving = scheduler.snapshot_at(0, at).sat_index
     boundary_slot = scheduler.slot_of(at) + 1
     plan = FaultPlan(seed=4)
     plan.inject_satellite_outage(scheduler, at=at, slots=3)
     plan.arm(Simulator())
+    scheduler = plan.with_outages(scheduler)
     # the allocation in force is untouched...
-    assert scheduler.snapshot(at).sat_index == serving
+    assert scheduler.snapshot_at(0, at).sat_index == serving
     # ...but the failed bird never serves inside the outage window
     for slot in range(boundary_slot, boundary_slot + 3):
-        assert scheduler.snapshot(slot * SLOT_DURATION).sat_index != serving
+        assert scheduler.snapshot_at(
+            0, slot * SLOT_DURATION).sat_index != serving
 
 
 def test_satellite_outage_is_deterministic():
     snaps = []
     for _ in range(2):
-        scheduler = SatelliteScheduler(
-            Constellation(), default_terminal(), STARLINK_GATEWAYS, seed=0)
+        scheduler = _single_dish()
         plan = FaultPlan(seed=4)
         plan.inject_satellite_outage(scheduler, at=100.0, slots=2)
         plan.arm(Simulator())
-        snaps.append([scheduler.snapshot(t).sat_index
+        scheduler = plan.with_outages(scheduler)
+        snaps.append([scheduler.snapshot_at(0, t).sat_index
                       for t in (90.0, 105.0, 120.0, 135.0, 150.0)])
     assert snaps[0] == snaps[1]
 

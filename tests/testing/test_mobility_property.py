@@ -13,7 +13,7 @@ from repro.apps.outcome import OUTCOME_STATUSES
 from repro.apps.ping import ping
 from repro.core.campaign import Campaign, CampaignConfig
 from repro.core.datasets import CampaignDatasets
-from repro.disrupt.apply import apply_to_access
+from repro.disrupt.apply import apply_to_access, gateway_outage_slots
 from repro.disrupt.scenarios import unregister_scenario
 from repro.leo.access import StarlinkAccess
 from repro.leo.geometry import GeoPoint
@@ -60,14 +60,15 @@ def test_generators_cover_the_interesting_shapes():
 
 @pytest.mark.parametrize("seed", range(8))
 def test_ping_terminates_under_any_mobility_composition(seed):
+    schedule = random_disruption_schedule(seed, horizon_s=30.0)
     access = StarlinkAccess(
         seed=seed,
         trajectory=random_trajectory(seed),
-        obstruction=random_obstruction_trace(seed))
+        obstruction=random_obstruction_trace(seed),
+        gateway_outages=gateway_outage_slots(schedule))
     access.add_remote_host("anchor", ANCHOR, BRUSSELS)
     access.finalize()
-    apply_to_access(access,
-                    random_disruption_schedule(seed, horizon_s=30.0))
+    apply_to_access(access, schedule)
     result = ping(access.client, ANCHOR, count=3)
     assert result.outcome.status in OUTCOME_STATUSES
     assert result.sent == 3

@@ -1,12 +1,15 @@
 """Integration tests for the TCP stack over the simulator."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import TransportError
 from repro.netsim import Network
+from repro.netsim.engine import Simulator
 from repro.netsim.loss import BernoulliLoss
 from repro.netsim.queues import DropTailQueue
 from repro.transport.tcp import TcpConfig, TcpServer, tcp_connect
+from repro.transport.tcp.connection import TcpConnection, _Segment
 from repro.units import mb, mbps, ms
 
 
@@ -181,3 +184,33 @@ def test_download_direction_works():
     net.sim.run(until=30.0)
     assert "t" in done
     assert client.delivered == mb(1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(lengths=st.lists(st.integers(1, 1460), min_size=1, max_size=60),
+       fin=st.booleans(), presacked=st.sets(st.integers(0, 59)),
+       data=st.data())
+def test_property_sack_marks_exactly_the_covered_segments(
+        lengths, fin, presacked, data):
+    """A segment is SACKed iff one block covers its payload whole,
+    and marks are never cleared."""
+    conn = TcpConnection(Simulator(), None, "10.0.1.1", 5001, "client")
+    seq = 0
+    for i, length in enumerate(lengths):
+        last_fin = fin and i == len(lengths) - 1
+        span = length + (1 if last_fin else 0)
+        conn._segments.append(_Segment(seq, length, span, 0.0,
+                                       fin=last_fin,
+                                       sacked=i in presacked))
+        seq += span
+    # Block edges sit on or next to segment edges, where an
+    # off-by-one in the covering test would show.
+    edges = [s.seq for s in conn._segments] + [seq]
+    edge = st.tuples(st.sampled_from(edges), st.integers(-2, 2)).map(sum)
+    sacks = tuple(data.draw(st.lists(st.tuples(edge, edge), max_size=4)))
+    conn._apply_sacks(sacks)
+    for i, segment in enumerate(conn._segments):
+        covered = any(start <= segment.seq
+                      and segment.seq + segment.length <= end
+                      for start, end in sacks)
+        assert segment.sacked == (covered or i in presacked)
