@@ -27,6 +27,12 @@ Window kinds and what their ``severity`` means:
     A flash crowd in the cell. The competing load consumes
     ``SURGE_CAPACITY_COEFF * severity`` of the granted capacity.
 
+The three time queries are answered from an interval index built
+lazily, once per (immutable) schedule: the sorted window boundaries
+plus each segment's ``(capacity_factor, extra_loss_prob, blackout)``
+from the window scan at the segment's start. A query is one
+``bisect_right``, bit-identical to scanning every window at ``t``.
+
 All effects are deterministic functions of (window set, seed): an
 empty schedule is guaranteed to leave every code path and RNG stream
 untouched, which is what keeps the ``clear_sky`` scenario
@@ -35,7 +41,10 @@ digest-identical to a scenario-less run.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from repro.errors import DisruptionError
 
@@ -119,28 +128,48 @@ class DisruptionSchedule:
         return (w for w in self.windows
                 if w.kind == kind and w.active(t))
 
-    # -- channel-facing queries ----------------------------------------
-
-    def capacity_factor(self, t: float) -> float:
-        """Multiplier on the granted link capacity at time ``t``."""
+    def _scan(self, t: float) -> tuple[float, float, bool]:
+        """``(capacity_factor, extra_loss_prob, blackout)`` by window scan."""
         factor = 1.0
         for w in self._active(t, "fade"):
             factor *= max(CAPACITY_FLOOR, 1.0 - w.severity)
         for w in self._active(t, "surge"):
             factor *= max(CAPACITY_FLOOR,
                           1.0 - SURGE_CAPACITY_COEFF * w.severity)
-        return max(CAPACITY_FLOOR, factor)
-
-    def extra_loss_prob(self, t: float) -> float:
-        """Additional medium-loss probability from active fades."""
         keep = 1.0
         for w in self._active(t, "fade"):
             keep *= 1.0 - FADE_LOSS_COEFF * w.severity
-        return 1.0 - keep
+        return (max(CAPACITY_FLOOR, factor), 1.0 - keep,
+                any(True for w in self._active(t, "blackout")))
+
+    @cached_property
+    def _index(self) -> tuple[list[float],
+                              list[tuple[float, float, bool]]]:
+        # The active window set is constant between consecutive
+        # boundaries, so each segment's scan at its start (the same
+        # windows multiplied in the same order) holds bit for bit
+        # across the whole segment.
+        bounds = sorted({x for w in self.windows
+                         for x in (w.start_t, w.end_t)})
+        return bounds, [self._scan(t) for t in (-math.inf, *bounds)]
+
+    def _segment(self, t: float) -> tuple[float, float, bool]:
+        bounds, values = self._index
+        return values[bisect_right(bounds, t)]
+
+    # -- channel-facing queries ----------------------------------------
+
+    def capacity_factor(self, t: float) -> float:
+        """Multiplier on the granted link capacity at time ``t``."""
+        return self._segment(t)[0]
+
+    def extra_loss_prob(self, t: float) -> float:
+        """Additional medium-loss probability from active fades."""
+        return self._segment(t)[1]
 
     def blackout_at(self, t: float) -> bool:
         """Whether any blackout (link or route) covers ``t``."""
-        return any(True for w in self._active(t, "blackout"))
+        return self._segment(t)[2]
 
     # -- window extraction for installers ------------------------------
 

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.leo.geometry import elevation_angle, slant_range
 from repro.leo.ground import GroundStation
 from repro.units import SPEED_OF_LIGHT
 
@@ -67,20 +66,29 @@ def gateway_geometry(gw_ecef: np.ndarray, gw_ups: list[np.ndarray],
                      ) -> tuple[np.ndarray, np.ndarray]:
     """Per-gateway ``(elevations_deg, ranges_m)`` of one satellite.
 
-    Deliberately evaluated with the scalar :func:`elevation_angle` /
-    :func:`slant_range` ops: these floats feed digest-pinned
-    :class:`PathSnapshot` fields, and the scalar BLAS kernels round
-    differently from their broadcast counterparts. The fleet layer
-    gets its speedup by *memoizing* this function per (slot,
-    satellite) across terminals, not by re-deriving it vectorised.
+    A fused scalar kernel: each line of sight is formed once and its
+    norm is both the range and the elevation's divisor. Bit-identical
+    to per-gateway :func:`~repro.leo.geometry.elevation_angle` +
+    :func:`~repro.leo.geometry.slant_range`: the same scalar 1-D ops
+    in the same order, the sine clamped by two comparisons. Do not
+    vectorise across gateways: these floats feed digest-pinned
+    :class:`PathSnapshot` fields, and the broadcast BLAS kernels round
+    differently from the scalar ones. The fleet layer memoizes this
+    function per (slot, satellite) across terminals.
     """
     n = len(gw_ecef)
     elevations = np.empty(n)
     ranges = np.empty(n)
     for i in range(n):
-        elevations[i] = elevation_angle(gw_ecef[i], sat_pos,
-                                        up=gw_ups[i])
-        ranges[i] = slant_range(gw_ecef[i], sat_pos)
+        los = sat_pos - gw_ecef[i]
+        rng = np.sqrt(los.dot(los))
+        sin_el = np.dot(los, gw_ups[i]) / rng
+        if sin_el > 1.0:
+            sin_el = 1.0
+        elif sin_el < -1.0:
+            sin_el = -1.0
+        elevations[i] = np.degrees(np.arcsin(sin_el))
+        ranges[i] = rng
     return elevations, ranges
 
 

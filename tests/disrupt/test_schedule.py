@@ -1,12 +1,16 @@
 """Tests for disruption windows and schedules."""
 
+import math
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.disrupt.schedule import (
     CAPACITY_FLOOR,
     CLEAR_SKY,
     FADE_LOSS_COEFF,
     SURGE_CAPACITY_COEFF,
+    WINDOW_KINDS,
     DisruptionSchedule,
     DisruptionWindow,
 )
@@ -159,3 +163,74 @@ def test_schedule_accepts_list_windows():
     sched = DisruptionSchedule(
         "s", [DisruptionWindow("fade", 0.0, 1.0, severity=0.1)])
     assert isinstance(sched.windows, tuple)
+
+
+# -- interval index vs linear scan --------------------------------------
+
+def _scan_oracle(schedule, t):
+    """``(capacity_factor, extra_loss_prob, blackout_at)`` by scanning
+    every window at ``t`` (the pre-index query formulas)."""
+    def active(kind):
+        return [w for w in schedule.windows
+                if w.kind == kind and w.start_t <= t < w.end_t]
+    factor = 1.0
+    for w in active("fade"):
+        factor *= max(CAPACITY_FLOOR, 1.0 - w.severity)
+    for w in active("surge"):
+        factor *= max(CAPACITY_FLOOR,
+                      1.0 - SURGE_CAPACITY_COEFF * w.severity)
+    keep = 1.0
+    for w in active("fade"):
+        keep *= 1.0 - FADE_LOSS_COEFF * w.severity
+    return (max(CAPACITY_FLOOR, factor), 1.0 - keep,
+            bool(active("blackout")))
+
+
+def _bits(x):
+    """Exact identity of a query result: type plus every bit."""
+    return (type(x), x.hex() if isinstance(x, float) else x)
+
+
+# Boundaries from a small grid make overlapping, nested and touching
+# windows common; arbitrary floats cover everything else.
+_points = st.one_of(st.integers(-3, 12).map(float),
+                    st.floats(-1e7, 1e7, allow_nan=False))
+_severities = st.one_of(st.just(1.0),
+                        st.floats(0.0, 1.0, exclude_min=True))
+
+
+@st.composite
+def _windows(draw):
+    a, b = draw(_points), draw(_points)
+    if a == b:
+        b = a + draw(st.sampled_from([0.5, 1.0, 3.0]))
+    kind = draw(st.sampled_from(WINDOW_KINDS))
+    target = {"gateway_out": "gw-a",
+              "blackout": draw(st.sampled_from(["", "route"]))
+              }.get(kind, "")
+    return DisruptionWindow(kind, min(a, b), max(a, b),
+                            severity=draw(_severities), target=target)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_windows(), min_size=1, max_size=8))
+def test_property_index_matches_linear_scan_bitwise(windows):
+    sched = DisruptionSchedule("prop", windows)
+    edges = [x for w in windows for x in (w.start_t, w.end_t)]
+    probes = [min(edges) - 1.0, max(edges) + 1.0, -math.inf, math.inf]
+    for x in edges:
+        probes += [x, math.nextafter(x, -math.inf),
+                   math.nextafter(x, math.inf)]
+    for t in probes:
+        cap, loss, black = _scan_oracle(sched, t)
+        assert _bits(sched.capacity_factor(t)) == _bits(cap), t
+        assert _bits(sched.extra_loss_prob(t)) == _bits(loss), t
+        assert sched.blackout_at(t) is black, t
+
+
+@pytest.mark.parametrize("sched", [CLEAR_SKY, DisruptionSchedule("none")])
+@pytest.mark.parametrize("t", [-math.inf, -1.0, 0.0, 1e9, math.inf])
+def test_empty_schedule_returns_exact_identities(sched, t):
+    assert _bits(sched.capacity_factor(t)) == _bits(1.0)
+    assert _bits(sched.extra_loss_prob(t)) == _bits(0.0)
+    assert sched.blackout_at(t) is False

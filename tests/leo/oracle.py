@@ -7,11 +7,12 @@ against (``tests/leo/test_fleet_differential.py`` and
 ``scripts/fleet_smoke.py``). It is deliberately plain: every query
 re-derives visibility over the whole constellation with
 :meth:`Constellation.visible_from` (no prefilter), gateway geometry is
-recomputed per candidate (no memo), outage membership is a linear
-scan over the windows (no interval index) and terminal positions are
-evaluated per slot (no position cache). Its inputs — trajectory,
-obstruction, satellite and gateway outages — are fixed at
-construction, like the scheduler it checks.
+recomputed per candidate with one :func:`elevation_angle` and one
+:func:`slant_range` call per gateway (no memo, no fused kernel),
+outage membership is a linear scan over the windows (no interval
+index) and terminal positions are evaluated per slot (no position
+cache). Its inputs — trajectory, obstruction, satellite and gateway
+outages — are fixed at construction, like the scheduler it checks.
 """
 
 from __future__ import annotations
@@ -20,16 +21,37 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.leo.constellation import Constellation
-from repro.leo.geometry import azimuth_angle, unit_up
+from repro.leo.geometry import (
+    azimuth_angle,
+    elevation_angle,
+    slant_range,
+    unit_up,
+)
 from repro.leo.ground import GroundStation, UserTerminal
 from repro.leo.scheduling import (
     SLOT_DURATION,
     HandoverEvent,
     PathSnapshot,
-    gateway_geometry,
     select_gateway,
 )
 from repro.rng import make_rng
+
+
+def gateway_geometry(gw_ecef, gw_ups, sat_pos):
+    """Per-gateway ``(elevations_deg, ranges_m)``, one scalar call each.
+
+    The original per-gateway :func:`elevation_angle` /
+    :func:`slant_range` loop, kept so the differential tests compare
+    the production fused kernel against the unfused ops.
+    """
+    n = len(gw_ecef)
+    elevations = np.empty(n)
+    ranges = np.empty(n)
+    for i in range(n):
+        elevations[i] = elevation_angle(gw_ecef[i], sat_pos,
+                                        up=gw_ups[i])
+        ranges[i] = slant_range(gw_ecef[i], sat_pos)
+    return elevations, ranges
 
 
 class SatelliteScheduler:

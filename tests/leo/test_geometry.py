@@ -151,3 +151,38 @@ def test_scalar_ops_match_row_subsets_bitwise():
     for i in range(len(sats)):
         assert elevation_angle(ground, sats[i]) == vec_elev[i]
         assert slant_range(ground, sats[i]) == vec_rng[i]
+
+
+def test_gateway_geometry_matches_scalar_ops_bitwise():
+    """The fused gateway kernel equals per-gateway elevation_angle +
+    slant_range bit for bit: random satellites above and below each
+    gateway's horizon, plus zenith/nadir lines of sight whose raw sine
+    rounds past +-1 and must be clamped."""
+    from repro.leo.geometry import unit_up
+    from repro.leo.scheduling import gateway_geometry
+    from tests.leo.oracle import gateway_geometry as unfused
+
+    rng = np.random.default_rng(20221025)
+    gws = np.array([ecef(lat, lon) for lat, lon in
+                    zip(rng.uniform(-70, 70, 8), rng.uniform(-180, 180, 8))])
+    ups = [unit_up(gw) for gw in gws]
+    sats = [ecef(lat, lon, km(alt)) for lat, lon, alt in
+            zip(rng.uniform(-90, 90, 400), rng.uniform(-180, 180, 400),
+                rng.uniform(300, 1200, 400))]
+    # Along each gateway's own up-vector: straight overhead (sine
+    # ~ +1) and straight down through the Earth (sine ~ -1).
+    for gw, up in zip(gws, ups):
+        for h in rng.uniform(1e5, 2e6, 40):
+            sats += [gw + h * up, gw - h * up]
+    raw_sines = [np.dot(s - gw, up) / np.sqrt((s - gw).dot(s - gw))
+                 for s in sats for gw, up in zip(gws, ups)]
+    assert max(raw_sines) > 1.0 and min(raw_sines) < -1.0
+    elevations = []
+    for sat in sats:
+        got_elev, got_rng = gateway_geometry(gws, ups, sat)
+        want_elev, want_rng = unfused(gws, ups, sat)
+        assert got_elev.tobytes() == want_elev.tobytes()
+        assert got_rng.tobytes() == want_rng.tobytes()
+        elevations.extend(got_elev)
+    assert max(elevations) == 90.0 and min(elevations) == -90.0
+    assert any(e < 0 for e in elevations) and any(e > 0 for e in elevations)
